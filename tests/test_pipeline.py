@@ -254,6 +254,89 @@ def test_parity_with_multi_batch_partitions(ray_session, tmp_path):
     assert p_viols == o_viols
 
 
+def test_one_task_per_partition_smaller_than_batch(ray_session, tmp_path):
+    # partitions smaller than batch_size: each partition file is one
+    # phase-1 task and one in-task slice, so every pid writes exactly one
+    # docmeta file (bundled batches that straddle partitions write two)
+    import glob
+
+    cfg = SynthConfig(n_docs=1200, n_partitions=8, seed=23)
+    d = ensure_dataset(cfg)
+    out = str(tmp_path / "small_parts")
+    run_validation(d, out, round_trip=False, batch_size=400)
+    for pid in range(cfg.n_partitions):
+        files = glob.glob(os.path.join(out, "docmeta", f"part-{pid:05d}-*.parquet"))
+        assert len(files) == 1, (pid, files)
+    o_viols, o_verdicts = oracle_validate(d, round_trip=False)
+    assert read_pipeline_outputs(out) == (o_viols, o_verdicts)
+
+
+def test_validate_task_slices_merge_to_unsliced_call():
+    # in-task slicing: the per-slice partials of one partition, merged
+    # as the driver merges them, equal a single unsliced SpanValidator
+    # call (t-digests are compressed by the merge, so they are compared
+    # by count and quantiles rather than bytes)
+    import numpy as np
+
+    from zparse_ray.functions.sketches import TDigest
+    from zparse_ray.pipelines.validate import _merge_partials
+    from zparse_ray.stages.spancheck import SpanValidator, validate_task
+    from zparse_ray.synth import gen_assets, gen_partition
+
+    cfg = SynthConfig(n_docs=1000, n_partitions=1, seed=29)
+    batch = gen_partition(cfg, 0)
+    assets = np.sort(gen_assets(cfg)["asset_id"].to_numpy(zero_copy_only=False))
+
+    rows = validate_task(
+        batch, assets_ref=assets, carry_doc_hashes=True, batch_size=96
+    ).to_pylist()
+    assert len(rows) == -(-batch.num_rows // 96)
+    merged = rows[0]
+    for r in rows[1:]:
+        merged = _merge_partials(merged, r)
+    (whole,) = SpanValidator(
+        assets_ref=assets, assets_sorted=True, carry_doc_hashes=True
+    )(batch).to_pylist()
+
+    digests = ("textlen_tdigest", "spans_tdigest")
+    assert {k: v for k, v in merged.items() if k not in digests} == {
+        k: v for k, v in whole.items() if k not in digests
+    }
+    for k in digests:
+        a, b = TDigest.from_bytes(merged[k]), TDigest.from_bytes(whole[k])
+        assert a.count == b.count
+        for q in (0.1, 0.5, 0.9):
+            assert a.quantile(q) == pytest.approx(b.quantile(q), rel=0.05)
+
+
+def test_violation_order_is_total(tmp_path):
+    # a repeated doc_id with the same check at two offsets ties on
+    # (pid, doc_id, span_index, check_id, detail); files read in either
+    # order must still sort to the same list
+    import pyarrow as pa
+
+    from zparse_ray.schema import VIOLATIONS_SCHEMA
+
+    base = {
+        "partition_id": 0, "doc_id": "dup", "span_index": 0,
+        "check_id": "Expected", "detail": "expected value", "line": 1, "col": 3,
+    }
+    a, b = dict(base, offset=10), dict(base, offset=90)
+    outs = []
+    for name, first, second in (("ab", a, b), ("ba", b, a)):
+        out = tmp_path / name
+        (out / "violations").mkdir(parents=True)
+        for i, row in enumerate((first, second)):
+            pq.write_table(
+                pa.Table.from_pylist([row], schema=VIOLATIONS_SCHEMA),
+                out / "violations" / f"part-00000-{i}.parquet",
+            )
+        pq.write_table(pa.table({"partition_id": [0]}), out / "verdicts.parquet")
+        outs.append(read_pipeline_outputs(str(out)))
+    assert outs[0] == outs[1]
+    assert [v["offset"] for v in outs[0][0]] == [10, 90]
+
+
 def test_quarantine_sink(spans_dir, tmp_path):
     import glob
 

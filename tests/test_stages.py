@@ -350,6 +350,19 @@ def _pq_meta_rows(path):
     return pq.ParquetFile(path).metadata.num_rows
 
 
+def test_ivf_train_fewer_directions_than_lists():
+    """k-means++ seeding on a sample with fewer distinct directions than
+    n_list: once no residual distance mass is left, seeding stops with
+    the seeds found so far instead of raising."""
+    from zparse_ray.stages.similarity import IvfIndex
+
+    v = np.random.default_rng(0).standard_normal(8)
+    IvfIndex.train(np.tile(v, (40, 1)), n_list=16)
+    axis = np.eye(8)[0]
+    idx = IvfIndex.train(np.tile(axis, (40, 1)), n_list=16)
+    assert np.allclose(idx.centroids, axis)
+
+
 # -- simhash hamming-<=k band search ---------------------------------------
 
 def test_simhash_band_search_finds_close_fingerprints():

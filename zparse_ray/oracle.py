@@ -53,6 +53,16 @@ _SER = {
 }
 
 
+def violation_sort_key(v: dict) -> tuple:
+    """Total order on violation rows: a repeated doc_id can hit the same
+    check with the same detail at two offsets, so the position fields
+    break the tie and equal multisets sort to equal lists."""
+    return (
+        v["partition_id"], v["doc_id"], v["span_index"], v["check_id"], v["detail"],
+        v["offset"], v["line"], v["col"],
+    )
+
+
 def oracle_validate(
     spans_dir: str,
     *,
@@ -185,9 +195,7 @@ def oracle_validate(
         }
         for pid, s in sorted(per_part.items())
     ]
-    violations.sort(
-        key=lambda v: (v["partition_id"], v["doc_id"], v["span_index"], v["check_id"], v["detail"])
-    )
+    violations.sort(key=violation_sort_key)
     return violations, verdicts
 
 
@@ -197,9 +205,7 @@ def read_pipeline_outputs(out_dir: str) -> tuple[list[dict], list[dict]]:
     viols = []
     for f in vfiles:
         viols.extend(pq.read_table(f).to_pylist())
-    viols.sort(
-        key=lambda v: (v["partition_id"], v["doc_id"], v["span_index"], v["check_id"], v["detail"])
-    )
+    viols.sort(key=violation_sort_key)
     verdicts = pq.read_table(os.path.join(out_dir, "verdicts.parquet")).to_pylist()
     verdicts.sort(key=lambda v: v["partition_id"])
     return viols, verdicts

@@ -151,7 +151,6 @@ def run_validation(
     *,
     round_trip: bool = False,
     resume: bool = True,
-    concurrency: int | None = None,
     drift_profile: str | None = None,
     ks_threshold: float = 0.15,
     psi_threshold: float = 0.25,
@@ -218,11 +217,13 @@ def run_validation(
                 if max_span_bytes is not None
                 else DEFAULT_MAX_SPAN_BYTES,
                 "parser_configs": parser_configs,
+                "batch_size": batch_size,
             },
-            # 4096-doc batches keep each worker's working set cache-sized
-            # (~25% faster at full concurrency than whole-block batches);
-            # blocks still align 1:1 with partition files for commits
-            batch_size=batch_size,
+            # whole blocks: one task per partition file, so Ray Data never
+            # bundles small partitions into a few oversized tasks; the
+            # task slices its block into batch_size rows for a
+            # cache-sized working set
+            batch_size=None,
             batch_format="pyarrow",
             zero_copy_batch=True,
         )

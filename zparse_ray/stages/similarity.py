@@ -162,7 +162,11 @@ class IvfIndex:
             picks = [int(rng.integers(len(x)))]
             d2 = np.maximum(0.0, 1.0 - x @ x[picks[0]])
             for _ in range(k - 1):
-                nxt = int(rng.choice(len(x), p=d2 / max(d2.sum(), 1e-12)))
+                if d2.sum() <= 0:
+                    # every point sits on a chosen seed (e.g. a sample of
+                    # identical vectors): no new seed can add coverage
+                    break
+                nxt = int(rng.choice(len(x), p=d2 / d2.sum()))
                 picks.append(nxt)
                 d2 = np.minimum(d2, np.maximum(0.0, 1.0 - x @ x[nxt]))
             cent = x[picks].copy()

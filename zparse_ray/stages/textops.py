@@ -96,7 +96,7 @@ class QualityScorer:
         s = arrow_text_series(batch["text"])
         length = s.str.len().astype("float64")
         n_punct = s.str.count(self.punct).astype("float64")
-        words = arrow_text_series(batch["text"], lower=True).str.findall(self.word)
+        words = s.str.lower().str.findall(self.word)
         # explode + isin / groupby(level=0): one C-level pass over every
         # word in the batch instead of a Python lambda per row (the
         # validated-docs/s ceiling VERDICT r2 flagged). Word lengths are
