@@ -1,3 +1,4 @@
+import gc
 import os
 import sys
 
@@ -21,3 +22,15 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture(autouse=True)
+def _release_ray_actors():
+    """Collect a finished test's garbage at once. Ray Data drops an
+    actor pool's handles instead of killing the actors, and Dataset
+    objects sit in reference cycles, so without this a test's pool
+    actors keep their CPUs until the cyclic GC happens to run, and
+    later tests in the shared 4-CPU session can starve."""
+    yield
+    if "ray" in sys.modules and sys.modules["ray"].is_initialized():
+        gc.collect()

@@ -145,11 +145,9 @@ def test_distributed_dup_path_matches_driver_path(spans_dir, run_out, tmp_path):
 
 
 def test_bucket_join_dup_fallback_matches_broadcast(spans_dir, run_out, tmp_path):
-    """Above max_broadcast_dups the distributed branch must route
-    through the bucketed shuffle join (VERDICT r4 item 2 — it used to
-    raise RuntimeError) and produce identical violations/verdicts to
-    the broadcast path. max_broadcast_dups=1 forces it on the synth
-    table's planted dup ids."""
+    """max_broadcast_dups has no effect: the distributed path is one
+    bucket shuffle whatever the dup-set size, so a tiny cap must still
+    give violations and verdicts identical to the driver path."""
     out2 = str(tmp_path / "bucket_dups")
     run_validation(
         spans_dir, out2, round_trip=True, dup_driver_threshold=0,
@@ -184,6 +182,79 @@ def test_distributed_dup_path_never_reads_docmeta_on_driver(
     a = read_pipeline_outputs(OUT)
     b = read_pipeline_outputs(out3)
     assert a == b
+
+
+def test_distributed_dup_path_no_duplicates(ray_session, tmp_path):
+    # buckets without a repeated id must return a typed empty table
+    # (an untyped empty literal array gets null type, which
+    # binary_join_element_wise rejects)
+    d = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=31, dup_rate=0.0))
+    out = str(tmp_path / "dist_nodups")
+    res = run_validation(d, out, round_trip=True, dup_driver_threshold=0)
+    assert res["n_dup_violations"] == 0
+    assert not os.path.exists(os.path.join(out, "violations", "dups.parquet"))
+    assert read_pipeline_outputs(out) == oracle_validate(d, round_trip=True)
+
+
+def test_distributed_dup_path_never_pulls_dup_set_to_driver(
+    spans_dir, run_out, tmp_path, monkeypatch
+):
+    # the distributed branch streams violation rows to the sink; neither
+    # the dup-id set nor the dup occurrences may be collected on the
+    # driver, whatever max_broadcast_dups says
+    import ray.data as rd
+
+    def refuse(*a, **k):
+        raise AssertionError("distributed dup path collected a dataset on the driver")
+
+    monkeypatch.setattr(rd.Dataset, "take_all", refuse)
+    monkeypatch.setattr(rd.Dataset, "to_arrow_refs", refuse)
+    out = str(tmp_path / "dist_nopull")
+    run_validation(spans_dir, out, round_trip=True, dup_driver_threshold=0)
+    assert read_pipeline_outputs(out) == read_pipeline_outputs(OUT)
+
+
+def test_null_doc_ids_are_duplicates_of_each_other(ray_session, tmp_path):
+    # uniqueness rule: a null doc_id reads as "" in engine and oracle,
+    # so null ids (in any partition) and a literal "" id all count as
+    # one repeated id. Both phase-2a paths must agree with the oracle.
+    import pyarrow as pa
+
+    span_t = pa.struct(
+        [("kind", pa.string()), ("text", pa.string()),
+         ("media_ref", pa.string()), ("offset", pa.int32())]
+    )
+    schema = pa.schema(
+        [("partition_id", pa.int32()), ("doc_id", pa.string()), ("spans", pa.list_(span_t))]
+    )
+    ok = [{"kind": "text", "text": "ok", "media_ref": "", "offset": 0}]
+    parts = {
+        0: [None, "a", None, "b"],
+        1: [None, "", "a", "c"],
+    }
+    d = str(tmp_path / "null_ids")
+    os.makedirs(os.path.join(d, "spans"))
+    for pid, ids in parts.items():
+        rows = [{"partition_id": pid, "doc_id": i, "spans": ok} for i in ids]
+        pq.write_table(pa.Table.from_pylist(rows, schema=schema),
+                       os.path.join(d, "spans", f"part-{pid:05d}.parquet"))
+    pq.write_table(pa.table({"asset_id": pa.array(["asset-000001"])}),
+                   os.path.join(d, "assets.parquet"))
+
+    o_viols, o_verdicts = oracle_validate(d)
+    dups = sorted((v["partition_id"], v["doc_id"], v["detail"]) for v in o_viols)
+    assert dups == [
+        (0, "", "doc_id appears 4 times"),
+        (0, "", "doc_id appears 4 times"),
+        (0, "a", "doc_id appears 2 times"),
+        (1, "", "doc_id appears 4 times"),
+        (1, "", "doc_id appears 4 times"),
+        (1, "a", "doc_id appears 2 times"),
+    ]
+    for name, threshold in (("driver", 20_000_000), ("distributed", 0)):
+        out = str(tmp_path / name)
+        run_validation(d, out, dup_driver_threshold=threshold)
+        assert read_pipeline_outputs(out) == (o_viols, o_verdicts), name
 
 
 def test_drift_detection(ray_session, tmp_path):

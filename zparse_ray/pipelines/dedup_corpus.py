@@ -107,7 +107,6 @@ def _drop_ids_minhash(docs, id_column: str, text_column: str, threshold: float,
     n_candidate_pairs)`` where ``drop_ds`` is a Dataset[(drop_id,)] to
     semi-mark against.
     """
-    import ray
     from ray.data.aggregate import Min
 
     from ..stages.dedup import (
@@ -121,7 +120,7 @@ def _drop_ids_minhash(docs, id_column: str, text_column: str, threshold: float,
     # fail FAST and clearly on non-integer ids: the minhash chain
     # (band explode, pair keys, component labels) is int64 end-to-end,
     # and without this check the type error surfaces as a cryptic
-    # RayTaskError deep inside the signature actor pool. Exact mode
+    # RayTaskError deep inside the signature stage. Exact mode
     # supports string ids (hash + keyed Min + semi-mark all take them).
     if n_perm % n_bands:
         raise ValueError(
@@ -139,19 +138,16 @@ def _drop_ids_minhash(docs, id_column: str, text_column: str, threshold: float,
         return pa.table({"doc_id": t[id_column], "text": t[text_column]})
 
     named = docs.map_batches(rename, batch_format="pyarrow")
-    # leave >= 1 CPU for the task-pool stages feeding the actor pool —
-    # 2 actors on a 2-CPU cluster deadlock (actors hold every CPU while
-    # waiting for input the starved read tasks can never produce);
-    # scale up to 16 on big hosts so the vectorized signature stage
-    # isn't the pipeline's artificial ceiling
-    n_actors = max(1, min(16, int(ray.cluster_resources().get("CPU", 3)) - 1))
-    bands = named.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={"n_perm": n_perm, "n_bands": n_bands,
-                               "shingle_k": shingle_k},
-        batch_format="pyarrow",
-        concurrency=n_actors,
-    )
+
+    # signatures run as plain tasks, not an actor pool: the materialized
+    # LSH outputs below keep their lineage, and lineage through actor
+    # tasks keeps those actors (and their CPUs) alive for the rest of
+    # this function, starving the text joins. Building a MinHasher is
+    # two 128-value RNG draws, so one per batch costs nothing.
+    def signatures(t: pa.Table) -> pa.Table:
+        return MinHasher(n_perm=n_perm, n_bands=n_bands, shingle_k=shingle_k)(t)
+
+    bands = named.map_batches(signatures, batch_format="pyarrow")
     # materialized: the compact (a, b, n_dropped) pair stream feeds the
     # truncation count AND the pair-dedup, so the LSH shuffle runs once
     # star edges (min_id -> member) per bucket: O(k) rows per bucket

@@ -1646,7 +1646,9 @@ def minhash_lsh_neardup(sf_dir: str):
     from ..stages.textops import _NONWS
 
     docs = _augmented_docs(sf_dir)
-    bands = docs.map_batches(MinHasher, batch_format="pyarrow", concurrency=2)
+    # a task, not an actor pool: lineage from the materialized pairs
+    # would keep pool actors (and their CPUs) through the text joins
+    bands = docs.map_batches(lambda t: MinHasher()(t), batch_format="pyarrow")
     cand = lsh_candidate_pair_stream(bands).materialize()
     n_truncated = int(cand.sum("n_dropped") or 0)
     if n_truncated:

@@ -1,22 +1,25 @@
 """The flagship validation pipeline (SURVEY §3.4 lifecycle).
 
     read uncommitted partitions (one parquet file per partition)
-      -> map_batches(SpanValidator actor pool)     # grammar + order +
-         ref-integrity + stats partials; violations/docmeta written
-         per partition by the stage (resumable sink)
+      -> map_batches(validate_task), one task per partition file
+         # grammar + order + ref-integrity + stats partials;
+         violations/docmeta written per partition by the task
+         (resumable sink)
       -> driver streams the tiny partials, committing each partition
          to the manifest as its expected doc count completes
     phase 2 (cheap, over compact intermediates):
-      -> doc_id uniqueness: groupby(doc_id).count over docmeta
-         (shuffle of the COMPACT docmeta stream, never the spans)
+      -> doc_id uniqueness: driver-side value_counts over docmeta below
+         dup_driver_threshold rows, else one bucket shuffle over
+         docmeta whose reducers emit the violation rows (shuffle of the
+         COMPACT docmeta stream, never the spans)
       -> drift: per-partition sketches vs a frozen reference profile
          (KS on t-digest CDFs, PSI on kind histograms)
       -> per-partition verdicts written
 
 Scale properties: the heavy input is read exactly once and never
 re-materialized; everything that shuffles (docmeta: ~25 bytes/doc) is
-~50x smaller than the input; the broadcast asset set ships once per
-actor; partials/sketches are O(partitions), not O(rows).
+~50x smaller than the input; the broadcast asset set is put in the
+object store once; partials/sketches are O(partitions), not O(rows).
 """
 
 from __future__ import annotations
@@ -40,55 +43,79 @@ from ..state.checkpoint import Manifest, clean_stale_outputs
 _PART_RE = re.compile(r"part-(\d+)\.parquet$")
 
 
-def _write_dup_violations_distributed(meta, dups_ds, cnt_col, out_dir, est_rows):
-    """Bucket-join dup-violation path (VERDICT r4 item 2 — the branch
-    that used to raise): when the dup-id set is too large to broadcast,
-    co-shuffle docmeta with the dup counts via ONE bucketed shuffle
-    join, build violation rows per batch, sort distributedly, and
-    stream O(batch)-sized sorted chunks into the sink file — the
-    driver never holds the dup set. Returns (n_rows, dup_pid_counts)."""
-    from ..stages.joins import bucketed_shuffle_join
-
-    def rename_keys(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"dup_id": t["doc_id"], "dup_n": pc.cast(t[cnt_col], pa.int64())}
-        )
-
-    keys = dups_ds.map_batches(rename_keys, batch_format="pyarrow")
-    occ = bucketed_shuffle_join(
-        meta, keys, left_on="doc_id", right_on="dup_id", est_rows=est_rows
+def _dup_violation_rows(t: pa.Table) -> pa.Table:
+    """DuplicateKey rows for every (partition_id, doc_id) row of ``t``
+    whose doc_id occurs more than once in ``t``, sorted by
+    (partition_id, doc_id). ``t`` must hold every occurrence of the ids
+    it contains; a typed empty table when none repeats."""
+    ids = t["doc_id"].combine_chunks()
+    vc = pc.value_counts(ids)
+    is_dup = pc.greater(vc.field("counts"), 1)
+    dup_ids = vc.field("values").filter(is_dup)
+    if not len(dup_ids):
+        return VIOLATIONS_SCHEMA.empty_table()
+    occ = t.filter(pc.is_in(ids, value_set=dup_ids))
+    n = occ.num_rows
+    times = pc.take(
+        vc.field("counts").filter(is_dup),
+        pc.index_in(occ["doc_id"], value_set=dup_ids),
     )
+    det = pc.binary_join_element_wise(
+        pa.scalar("doc_id appears", pa.string()),
+        pc.cast(times, pa.string()),
+        pa.scalar("times", pa.string()),
+        " ",
+    )
+    return pa.table(
+        {
+            "partition_id": pc.cast(occ["partition_id"], pa.int32()),
+            "doc_id": occ["doc_id"],
+            "span_index": pa.array(np.full(n, -1, np.int32)),
+            "check_id": pa.array([E.DUPLICATE_KEY] * n, pa.string()),
+            "detail": det,
+            "offset": pa.array(np.full(n, -1, np.int32)),
+            "line": pa.array(np.zeros(n, np.int32)),
+            "col": pa.array(np.zeros(n, np.int32)),
+        },
+        schema=VIOLATIONS_SCHEMA,
+    ).sort_by([("partition_id", "ascending"), ("doc_id", "ascending")])
 
-    def to_viol(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        det = pc.binary_join_element_wise(
-            pa.array(["doc_id appears"] * n),
-            pc.cast(t["dup_n"], pa.string()),
-            pa.array(["times"] * n),
-            " ",
-        )
-        return pa.table(
-            {
-                "partition_id": pc.cast(t["partition_id"], pa.int32()),
-                "doc_id": t["doc_id"],
-                "span_index": pa.array(np.full(n, -1, np.int32)),
-                "check_id": pa.array([E.DUPLICATE_KEY] * n, pa.string()),
-                "detail": det,
-                "offset": pa.array(np.full(n, -1, np.int32)),
-                "line": pa.array(np.zeros(n, np.int32)),
-                "col": pa.array(np.zeros(n, np.int32)),
-            },
-            schema=VIOLATIONS_SCHEMA,
+
+def _write_dup_violations_distributed(meta_files, out_dir, est_rows):
+    """Distributed doc_id uniqueness in ONE hash shuffle: every
+    occurrence of an id hashes to the same bucket, so after
+    ``groupby("__bucket")`` each reducer sees complete counts for its
+    ids and emits their violation rows itself. The driver only streams
+    the (usually tiny) result into the sink file — it never holds the
+    dup set or the docmeta. Rows are sorted by (partition_id, doc_id)
+    within each bucket chunk, not globally; readers sort or aggregate.
+    Returns (n_rows, dup_pid_counts)."""
+    import ray.data as rd
+
+    from ..stages.joins import _bucket_of, _warn_if_hot, resolve_n_buckets
+
+    n_buckets = resolve_n_buckets(est_rows)
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "__bucket", pa.array(_bucket_of(t["doc_id"], n_buckets), pa.int32())
         )
 
-    viol = occ.map_batches(to_viol, batch_format="pyarrow").sort(
-        ["partition_id", "doc_id"]
+    def dup_rows(t: pa.Table) -> pa.Table:
+        _warn_if_hot(t.num_rows, "doc_id uniqueness")
+        return _dup_violation_rows(t)
+
+    viol = (
+        rd.read_parquet(meta_files, columns=["partition_id", "doc_id"])
+        .map_batches(tag, batch_format="pyarrow")
+        .groupby("__bucket")
+        .map_groups(dup_rows, batch_format="pyarrow")
     )
     path = os.path.join(out_dir, "violations", "dups.parquet")
     n_rows = 0
     dup_pid_counts: dict[int, int] = {}
     writer = None
-    for b in viol.iter_batches(batch_size=65536, batch_format="pyarrow"):
+    for b in viol.iter_batches(batch_size=None, batch_format="pyarrow"):
         if not b.num_rows:
             continue
         if writer is None:
@@ -162,7 +189,15 @@ def run_validation(
     parser_configs: dict | None = None,
 ) -> dict:
     """Run the full validation job; returns a summary dict. Requires a
-    live Ray session (never calls ray.init itself)."""
+    live Ray session (never calls ray.init itself).
+
+    doc_id uniqueness is exact. A null doc_id reads as ``""`` (engine
+    and oracle alike), so all null-id docs, and any literal ``""`` ids,
+    count as duplicates of one another. Docmeta with at most
+    ``dup_driver_threshold`` rows is resolved on the driver, larger
+    docmeta by one distributed bucket shuffle; both give the same
+    output. ``max_broadcast_dups`` has no effect and is kept only so
+    existing callers still work."""
     import ray
     import ray.data as rd
 
@@ -260,15 +295,15 @@ def run_validation(
     # phase 2a: doc_id uniqueness over compact docmeta (exact). The
     # docmeta stream is ~50x smaller than the input; below the threshold
     # the driver resolves dups directly (zero extra Ray jobs), above it
-    # a distributed groupby(doc_id) shuffle runs — same output either way
-    # (the distributed path is what runs at 10^12 scale; salting hot id
-    # ranges happens inside Ray's sort-based shuffle partitioning).
+    # one bucket shuffle over docmeta runs and its reducers emit the
+    # violation rows — same output either way (the distributed path is
+    # what runs at 10^12 scale; one hot id still lands whole in its
+    # bucket, which _warn_if_hot reports).
     meta_files = sorted(glob.glob(os.path.join(out_dir, "docmeta", "part-*.parquet")))
     dup_pid_counts: dict[int, int] = {}
     n_dup_rows = 0
     if meta_files:
         total_meta = sum(pq.ParquetFile(f).metadata.num_rows for f in meta_files)
-        sel = None
         if total_meta <= dup_driver_threshold:
             # hash-first fast path: scan ONLY the int64 doc_hash column
             # (far cheaper to read and to value_count than the id
@@ -327,97 +362,21 @@ def run_validation(
                     occ = None
             else:
                 occ = pq.read_table(meta_files, columns=["partition_id", "doc_id"])
-            dup_count_of = {}
-            if occ is not None and occ.num_rows:
-                vc = pc.value_counts(occ["doc_id"].combine_chunks())
-                dup_mask = pc.greater(vc.field("counts"), 1)
-                dup_vals = vc.field("values").filter(dup_mask)
-                dup_counts = vc.field("counts").filter(dup_mask)
-                dup_count_of = dict(zip(dup_vals.to_pylist(), dup_counts.to_pylist()))
-            if dup_count_of:
-                sel = occ.filter(
-                    pc.is_in(occ["doc_id"], value_set=pa.array(list(dup_count_of), pa.string()))
-                )
+            if occ is not None:
+                dup_tbl = _dup_violation_rows(occ)
+                n_dup_rows = dup_tbl.num_rows
+                if n_dup_rows:
+                    path = os.path.join(out_dir, "violations", "dups.parquet")
+                    pq.write_table(dup_tbl, path + ".tmp")
+                    os.replace(path + ".tmp", path)
+                    for pid, cnt in zip(*np.unique(dup_tbl["partition_id"].to_numpy(), return_counts=True)):
+                        dup_pid_counts[int(pid)] = int(cnt)
         else:
-            # Distributed path (the 10^12-doc branch): groupby(doc_id)
-            # count keeps only the SMALL dup-id set on the driver; the
-            # occurrence rows are then filtered INSIDE map_batches with
-            # the dup-id set broadcast via ray.put — the full docmeta
-            # never lands on the driver (only the matching dup rows do,
-            # bounded by max_broadcast_dups occurrences).
-            import ray.data as rd
-
-            meta = rd.read_parquet(meta_files, columns=["partition_id", "doc_id"])
-            counts = meta.groupby("doc_id").count()
-            cnt_col = [c for c in counts.schema().names if c != "doc_id"][0]
-            # compact (dup_id, count) rows, materialized once: feeds the
-            # size gate AND whichever resolve path runs below
-            dups_ds = counts.map_batches(
-                lambda t: t.filter(pc.greater(t[cnt_col], 1)), batch_format="pyarrow"
-            ).materialize()
-            n_dup_ids = dups_ds.count()
-            total_occ = int(dups_ds.sum(cnt_col) or 0) if n_dup_ids else 0
-            dup_count_of = {}
-            if n_dup_ids > max_broadcast_dups or total_occ > max_broadcast_dups:
-                # bucket-join fallback: the dup set never lands on the
-                # driver; the helper writes the sorted violations file
-                # itself and hands back only O(partitions) counts
-                n_dup_rows, dup_pid_counts = _write_dup_violations_distributed(
-                    meta, dups_ds, cnt_col, out_dir, est_rows=total_meta
-                )
-            elif n_dup_ids:
-                dup_rows = dups_ds.take_all()
-                dup_count_of = {r["doc_id"]: r[cnt_col] for r in dup_rows}
-            if dup_count_of:
-                dup_set_ref = ray.put(pa.array(sorted(dup_count_of), pa.string()))
-
-                def _filter_dup_occurrences(t: pa.Table, *, dup_ref) -> pa.Table:
-                    vs = ray.get(dup_ref)  # zero-copy plasma read per task
-                    return t.filter(pc.is_in(t["doc_id"], value_set=vs))
-
-                filtered = rd.read_parquet(
-                    meta_files, columns=["partition_id", "doc_id"]
-                ).map_batches(
-                    _filter_dup_occurrences,
-                    fn_kwargs={"dup_ref": dup_set_ref},
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
-                tbls = [t for t in ray.get(filtered.to_arrow_refs()) if t.num_rows]
-                sel = (
-                    pa.concat_tables(
-                        [t.select(["partition_id", "doc_id"]) for t in tbls]
-                    )
-                    if tbls
-                    else None
-                )
-        if sel is not None and sel.num_rows:
-            sel = sel.sort_by([("partition_id", "ascending"), ("doc_id", "ascending")])
-            n = sel.num_rows
-            sel_ids = sel["doc_id"].to_pylist()
-            dup_tbl = pa.table(
-                {
-                    "partition_id": sel["partition_id"].combine_chunks().cast(pa.int32()),
-                    "doc_id": sel["doc_id"].combine_chunks(),
-                    "span_index": pa.array([-1] * n, pa.int32()),
-                    "check_id": pa.array([E.DUPLICATE_KEY] * n, pa.string()),
-                    "detail": pa.array(
-                        [f"doc_id appears {dup_count_of[i]} times" for i in sel_ids],
-                        pa.string(),
-                    ),
-                    "offset": pa.array([-1] * n, pa.int32()),
-                    "line": pa.array([0] * n, pa.int32()),
-                    "col": pa.array([0] * n, pa.int32()),
-                },
-                schema=VIOLATIONS_SCHEMA,
+            # distributed path (the 10^12-doc branch): one bucket
+            # shuffle whose reducers write the violation rows
+            n_dup_rows, dup_pid_counts = _write_dup_violations_distributed(
+                meta_files, out_dir, est_rows=total_meta
             )
-            n_dup_rows = n
-            if n:
-                path = os.path.join(out_dir, "violations", "dups.parquet")
-                pq.write_table(dup_tbl, path + ".tmp")
-                os.replace(path + ".tmp", path)
-                for pid, cnt in zip(*np.unique(dup_tbl["partition_id"].to_numpy(), return_counts=True)):
-                    dup_pid_counts[int(pid)] = int(cnt)
 
     timings["phase2a_dups"] = round(_time.time() - _t, 3)
     _t = _time.time()

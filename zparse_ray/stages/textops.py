@@ -249,7 +249,7 @@ def fingerprint_batch(batch: pa.Table, column: str = "text", window: int = 16) -
 
     from ..functions.sketches import hash64
 
-    s = batch[column].to_pandas().fillna("")
+    s = arrow_text_series(batch[column])
     full = hash64(s.to_numpy(dtype=object))
 
     blen = pc.binary_length(
@@ -296,7 +296,7 @@ def repetition_batch(batch: pa.Table, column: str = "text") -> pa.Table:
     repetition is the classic low-quality signal (Gopher/MassiveText
     repetition filters); at 100 TB this is a pure per-batch map with no
     shuffle."""
-    s = batch[column].to_pandas().fillna("")
+    s = arrow_text_series(batch[column])
     ex = s.str.split(" ").explode()
     ex = ex[ex.notna() & (ex != "")]
     pairs = ex.groupby([ex.index, ex]).size()
@@ -346,7 +346,7 @@ def ngram_repetition_batch(
     shuffle at 100 TB."""
     from .dedup import token_hash_runs, token_window_hashes
 
-    s = batch[column].to_pandas().fillna("")
+    s = arrow_text_series(batch[column])
     n_docs = len(s)
     pre = token_hash_runs(s)
     out = batch
