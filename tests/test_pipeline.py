@@ -1083,3 +1083,31 @@ def test_dedup_corpus_string_ids_exact_ok_minhash_rejected(ray_session, tmp_path
     ]
     with pytest.raises(ValueError, match="integer"):
         dedup_corpus(src, str(tmp_path / "strid_mh"), mode="minhash")
+
+
+def test_kind_hist_and_precheck_masks_per_partition():
+    # the per-pid kind histogram is a sorted-key JSON of exact counts,
+    # including unknown and null (read as "") kinds, and the prechecks
+    # flag exactly the unknown kinds
+    from collections import Counter
+
+    import pyarrow as pa
+
+    from zparse_ray.stages.spancheck import SpanValidator
+    from zparse_ray.synth import gen_partition
+
+    cfg = SynthConfig(n_docs=300, n_partitions=2, seed=5)
+    batch = pa.concat_tables([gen_partition(cfg, 0), gen_partition(cfg, 1)])
+    rows = batch.to_pylist()
+    rows[0]["spans"][0]["kind"] = "bogus"
+    rows[-1]["spans"][0]["kind"] = None
+    batch = pa.Table.from_pylist(rows, schema=batch.schema)
+    partials = SpanValidator()(batch).to_pylist()
+    assert [p["partition_id"] for p in partials] == [0, 1]
+    for p in partials:
+        want = Counter(
+            s["kind"] or "" for r in rows if r["partition_id"] == p["partition_id"]
+            for s in r["spans"]
+        )
+        assert p["kind_hist"] == json.dumps(dict(want), sort_keys=True)
+        assert "UnknownKind" in p["checks_failed"].split(",")

@@ -28,7 +28,9 @@ requires ``<`` — untested quirk that rejects ``<a><!--c-->text</a>``).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
+from xml.parsers.expat import ExpatError, ParserCreate
 
 from .errors import INVALID_TOKEN, MAX_SIZE_EXCEEDED, ParseError
 
@@ -38,6 +40,10 @@ DEFAULT_MAX_SIZE = 10 * 1024 * 1024
 @dataclass(frozen=True)
 class XmlConfig:
     max_size: int = DEFAULT_MAX_SIZE
+
+
+# shared default: a frozen dataclass costs ~0.5 us to build per call
+_DEFAULT_CONFIG = XmlConfig()
 
 
 @dataclass
@@ -256,10 +262,45 @@ class _XmlParser:
                 append(decoded)
 
 
-def parse_xml(text: str, config: XmlConfig | None = None) -> XmlDocument:
-    cfg = config or XmlConfig()
+def _check_size(text: str, cfg: XmlConfig) -> None:
     if cfg.max_size > 0 and len(text.encode("utf-8", "surrogatepass")) > cfg.max_size:
         raise ParseError(MAX_SIZE_EXCEEDED, f"maximum size exceeded: {cfg.max_size}", 0, 1, 1)
+
+
+def check_xml(text: str, config: XmlConfig | None = None) -> None:
+    """Recognizer-only form of ``parse_xml``: raise exactly what it
+    raises, build no document.
+
+    expat may say "valid" when a cheap guard holds:
+    - ASCII only: expat's name grammar then equals ``_NAME``, and there
+      is no BOM;
+    - no ``<!`` / ``<?``: no DTD, comment, CDATA or PI, so expat accepts
+      only the five built-in entities and legal char refs — a subset of
+      what ``decode_entities`` accepts;
+    - fewer ``<`` than a quarter of the recursion limit: the exact
+      parser recurses once per nesting level and fails on deep documents
+      with RecursionError, which expat would accept.
+    A guard miss or any ExpatError runs the exact parser.
+    """
+    cfg = config or _DEFAULT_CONFIG
+    _check_size(text, cfg)
+    if (
+        text.isascii()
+        and "<!" not in text
+        and "<?" not in text
+        and text.count("<") < sys.getrecursionlimit() // 4
+    ):
+        try:
+            ParserCreate().Parse(text, True)
+            return
+        except ExpatError:
+            pass
+    parse_xml(text, cfg)
+
+
+def parse_xml(text: str, config: XmlConfig | None = None) -> XmlDocument:
+    cfg = config or _DEFAULT_CONFIG
+    _check_size(text, cfg)
     p = _XmlParser(text)
     p.skip_ws()
     root = p.parse_element()

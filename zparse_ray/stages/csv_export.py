@@ -26,10 +26,6 @@ from ..functions.convert import serialize_csv
 from ..value import Value  # noqa: F401
 
 
-def _row_values(batch: pa.Table) -> list[dict]:
-    return batch.to_pylist()
-
-
 def headers_partial(batch: pa.Table) -> pa.Table:
     seen = []
     seen_set = set()

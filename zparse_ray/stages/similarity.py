@@ -280,31 +280,3 @@ def ivf_topk_persisted(index_dir: str, query: np.ndarray, *, n_probe: int = 4, k
     )
     top = merge_topk(scored.take_all(), k)
     return [(r["vec_id"], r["cosine_sim"]) for r in top]
-
-
-def ivf_topk(ds, query: np.ndarray, *, n_list: int = 16, n_probe: int = 4, k: int = 10,
-             sample_size: int = 2048, seed: int = 0, id_column: str = "vec_id"):
-    """End-to-end IVF search over a Dataset with an `embedding` column:
-    train on a deterministic uniform sample -> assign lists per batch ->
-    score only the probed lists. Returns [(vec_id, cosine_sim)]
-    best-first."""
-    sample = _training_sample(ds, sample_size, id_column)
-    index = IvfIndex.train(sample, n_list=n_list, seed=seed)
-    probed = set(index.probe_lists(query, n_probe).tolist())
-    q_val = np.asarray(query, dtype=np.float64)
-
-    assigned = ds.map_batches(index.assign_batch, batch_format="pyarrow")
-    import pyarrow.compute as pc
-
-    probed_arr = pa.array(sorted(probed), pa.int64())
-    candidates = assigned.map_batches(
-        lambda t: t.filter(pc.is_in(t["ivf_list"], value_set=probed_arr)),
-        batch_format="pyarrow",
-    )
-    scored = candidates.map_batches(
-        TopKScorer, fn_constructor_kwargs={"query_ref": q_val, "k": k},
-        batch_format="pyarrow", concurrency=2,
-        max_restarts=0,
-    )
-    top = merge_topk(scored.take_all(), k)
-    return [(r["vec_id"], r["cosine_sim"]) for r in top]

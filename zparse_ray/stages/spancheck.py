@@ -1,17 +1,24 @@
 """D1/D2: the span-structure validator stage.
 
-A callable CLASS for ``map_batches(SpanValidator, concurrency=N,
-batch_format="pyarrow", zero_copy_batch=True)`` — an actor pool: the
-broadcast asset key-set is fetched from the object store ONCE per actor
-in ``__init__`` (never per batch), per the stateful-stage rule.
+Phase 1 of ``run_validation`` runs ``map_batches(validate_task,
+batch_size=None, batch_format="pyarrow", fn_kwargs=...)``: one stateless
+Ray task per input partition file. ``validate_task`` builds a
+``SpanValidator`` and calls it on zero-copy slices of its block; the
+broadcast asset key-set arrives as a pre-sorted object-store ref (a
+zero-copy read cached per worker process, never re-shipped per batch).
 
 Per batch (zero-copy Arrow):
 1. vectorized prechecks first — span-count/byte-size limits, offset
    monotonicity (SpanOrder), media_ref membership against the broadcast
    asset set (RefIntegrity), unknown kinds — all numpy/pyarrow kernels;
-2. the recursive-descent grammar walk (reference semantics: JSON/JSONC/
-   CSV/TOML/YAML/XML parsers from functions/) runs ONLY on spans whose
-   kind is a grammar kind and which survived the prechecks;
+2. the grammar walk (reference semantics: JSON/JSONC/CSV/TOML/YAML/XML
+   parsers from functions/) runs ONLY on spans whose kind is a grammar
+   kind and which survived the prechecks. Where a C parser can decide
+   "valid" it goes first: JSON's C scanner inside ``parse_json``, and,
+   when ``round_trip`` is off, the recognizer-only ``check_csv``
+   (``csv.reader``) and ``check_xml`` (expat). A fast path only ever
+   accepts; a reject or guard miss runs the exact parser, so check_ids
+   and line/col are always the reference's;
 3. optional round-trip check (D2): parse -> serialize -> reparse ->
    deep-compare (the reference's property-test invariant,
    tests/property_tests.rs:121-156, applied per span);
@@ -50,17 +57,22 @@ from ..functions.convert import (
     serialize_yaml,
     xml_to_value,
 )
-from ..functions.csv_parser import parse_csv
+from ..functions.csv_parser import check_csv, parse_csv
 from ..functions.errors import ParseError
 from ..functions.json_parser import parse_json, parse_jsonc
 from ..functions.sketches import HyperLogLog, TDigest
 from ..functions.toml_parser import parse_toml
-from ..functions.xml_parser import parse_xml
+from ..functions.xml_parser import check_xml, parse_xml
 from ..functions.yaml_parser import parse_yaml
 from ..schema import GRAMMAR_KINDS, MEDIA_KINDS, SPAN_KINDS, VIOLATIONS_SCHEMA
 from ..value import values_equal
 
 DEFAULT_MAX_SPAN_BYTES = 10 * 1024 * 1024  # reference default max_size
+
+# kind sets as Arrow arrays for the pc.is_in prechecks
+_SPAN_KINDS = pa.array(SPAN_KINDS)
+_MEDIA_KINDS = pa.array(MEDIA_KINDS)
+_GRAMMAR_KINDS = pa.array(GRAMMAR_KINDS)
 
 _PARSERS = {
     "json": parse_json,
@@ -70,6 +82,10 @@ _PARSERS = {
     "yaml": parse_yaml,
     "xml": parse_xml,
 }
+
+# round_trip off: only the verdict matters, so CSV and XML take their
+# recognizer-only checks (C accept paths); the rest parse as usual
+_CHECKERS = {**_PARSERS, "csv": check_csv, "xml": check_xml}
 
 _SERIALIZERS = {
     "json": serialize_json,
@@ -125,12 +141,19 @@ def validate_payloads(
     the input. ``parser_configs`` maps kind -> per-format Config object
     (JsonConfig/TomlConfig/... — the reference's resource-limit guards,
     json/parser.rs:14-23, csv/parser.rs:8-11, exposed per job per
-    SURVEY §1.2)."""
+    SURVEY §1.2).
+
+    Without ``round_trip`` the walk takes ``_CHECKERS``. A C fast path
+    there only ever says "valid": every reject and every guard miss runs
+    the exact parser, so check_id, message and line/col are always the
+    exact parser's. With ``round_trip`` the DOM is needed, so the walk
+    takes ``_PARSERS``."""
     cfgs = parser_configs or {}
+    table = _PARSERS if round_trip else _CHECKERS
     out = []
     for i in idxs:
         kind = kinds[i]
-        parse = _PARSERS[kind]
+        parse = table[kind]
         cfg = cfgs.get(kind)
         try:
             value = parse(texts[i], cfg) if cfg is not None else parse(texts[i])
@@ -204,7 +227,8 @@ def build_parser_configs(
 
 
 class SpanValidator:
-    """map_batches actor: validates one Arrow batch of spans rows."""
+    """Validates one Arrow batch of spans rows and writes its sink files;
+    built once per ``validate_task`` call."""
 
     def __init__(
         self,
@@ -228,7 +252,6 @@ class SpanValidator:
         self.out_dir = out_dir
         self.round_trip = round_trip
         self.max_span_bytes = max_span_bytes
-        self.valid_kinds = frozenset(SPAN_KINDS)
         self.quarantine = quarantine
         self.parser_configs = parser_configs
         self.carry_doc_hashes = carry_doc_hashes
@@ -260,7 +283,8 @@ class SpanValidator:
         # empty document (a deterministic grammar error), a null media_ref
         # fails RefIntegrity; a null offset sorts as -1. The oracle
         # applies the SAME normalization.
-        kind_np = pc.fill_null(sv.field("kind"), "").to_numpy(zero_copy_only=False)
+        kind_arr = pc.fill_null(sv.field("kind"), "")
+        kind_np = kind_arr.to_numpy(zero_copy_only=False)
         text_arr = pc.fill_null(sv.field("text"), "")
         media_np = pc.fill_null(sv.field("media_ref"), "").to_numpy(zero_copy_only=False)
         off_np = pc.fill_null(sv.field("offset"), -1).to_numpy()
@@ -275,10 +299,7 @@ class SpanValidator:
         span_index_flat = np.arange(n_spans_total) - list_offsets[:-1][row_of]
 
         # 1. unknown kinds (vectorized membership)
-        import pandas as pd
-
-        kind_ser = pd.Series(kind_np)
-        bad_kind = ~kind_ser.isin(self.valid_kinds).to_numpy()
+        bad_kind = ~_is_in(kind_arr, _SPAN_KINDS)
         for i in np.flatnonzero(bad_kind):
             violations.append((i, int(row_of[i]), E.UNKNOWN_KIND, f"kind={kind_np[i]!r}", 0, 0))
 
@@ -300,7 +321,7 @@ class SpanValidator:
                 )
 
         # 4. media_ref referential integrity (broadcast set, searchsorted)
-        is_media = kind_ser.isin(MEDIA_KINDS).to_numpy()
+        is_media = _is_in(kind_arr, _MEDIA_KINDS)
         if self.assets is not None and is_media.any():
             media_idx = np.flatnonzero(is_media)
             refs = media_np[media_idx]
@@ -312,7 +333,7 @@ class SpanValidator:
                 violations.append((int(i), int(row_of[i]), E.REF_INTEGRITY, f"media_ref={media_np[i]!r}", 0, 0))
 
         # 5. grammar walk on surviving grammar spans
-        is_grammar = kind_ser.isin(GRAMMAR_KINDS).to_numpy()
+        is_grammar = _is_in(kind_arr, _GRAMMAR_KINDS)
         skip = bad_kind | too_big
         gram_idx = np.flatnonzero(is_grammar & ~skip)
         if len(gram_idx):
@@ -376,7 +397,7 @@ class SpanValidator:
             refs_here = media_np[smask & is_media]
             if len(refs_here):
                 hll_ref.add(refs_here)
-            hist = pd.Series(kind_np[smask]).value_counts().to_dict()
+            hist = pc.value_counts(kind_arr.filter(pa.array(smask))).to_pylist()
             partial_rows.append(
                 {
                     "partition_id": int(pid),
@@ -384,7 +405,9 @@ class SpanValidator:
                     "n_spans": n_sp,
                     "n_violations": n_viol,
                     "checks_failed": ",".join(checks),
-                    "kind_hist": _json.dumps({k: int(v) for k, v in hist.items()}, sort_keys=True),
+                    "kind_hist": _json.dumps(
+                        {h["values"]: h["counts"] for h in hist}, sort_keys=True
+                    ),
                     "textlen_tdigest": td_text.to_bytes(),
                     "spans_tdigest": td_spans.to_bytes(),
                     "doc_hll": hll_doc.to_bytes(),
@@ -439,6 +462,10 @@ class SpanValidator:
         tmp = path + ".tmp"
         pq.write_table(table, tmp, compression="zstd")
         os.replace(tmp, path)
+
+
+def _is_in(arr: pa.Array, value_set: pa.Array) -> np.ndarray:
+    return pc.is_in(arr, value_set=value_set).to_numpy(zero_copy_only=False)
 
 
 _GC_TUNED = False
