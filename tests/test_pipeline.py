@@ -342,6 +342,81 @@ def test_one_task_per_partition_smaller_than_batch(ray_session, tmp_path):
     assert read_pipeline_outputs(out) == (o_viols, o_verdicts)
 
 
+def _sink_files(out):
+    return {
+        (sub, name)
+        for sub in ("violations", "docmeta", "partials")
+        for name in os.listdir(os.path.join(out, sub))
+    }
+
+
+def test_retried_validate_file_rewrites_same_files(ray_session, tmp_path):
+    # a retried phase-1 task (its worker died after writing) runs
+    # validate_file on the same file again: its sink files must keep
+    # their names, or phase 2a reads the partition's docmeta twice and
+    # reports false DuplicateKey rows
+    import numpy as np
+
+    from zparse_ray.stages.spancheck import validate_file
+
+    cfg = SynthConfig(n_docs=1200, n_partitions=3, seed=37)
+    d = ensure_dataset(cfg)
+    out = str(tmp_path / "retry")
+    run_validation(d, out, batch_size=150)
+    before = _sink_files(out)
+    assets = pq.read_table(os.path.join(d, "assets.parquet"))["asset_id"]
+    assets = np.sort(assets.to_numpy(zero_copy_only=False))
+    for _ in range(2):
+        validate_file(
+            os.path.join(d, "spans", "part-00001.parquet"),
+            assets_ref=assets, out_dir=out, carry_doc_hashes=True, batch_size=150,
+        )
+        assert _sink_files(out) == before
+    run_validation(d, out, batch_size=150)  # resume: phase 2 over the sink files
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+
+
+def test_unreadable_partition_raises_and_commits_the_rest(ray_session, tmp_path):
+    # a partition file that is not parquet fails its own task: the run
+    # raises naming it, after every other partition committed, and a
+    # resume once the file is fixed equals an uninterrupted run
+    cfg = SynthConfig(n_docs=1200, n_partitions=4, seed=41)
+    d = str(tmp_path / "in")
+    shutil.copytree(ensure_dataset(cfg), d)
+    bad = tmp_path / "in" / "spans" / "part-00002.parquet"
+    good = bad.read_bytes()
+    bad.write_bytes(b"this is not a parquet file")
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="part-00002.parquet"):
+        run_validation(d, out)
+    m = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(m["partitions"]) == {"0", "1", "3"}
+    assert not any(name.startswith("part-00002") for _, name in _sink_files(out))
+
+    bad.write_bytes(good)
+    run_validation(d, out)
+    ref = str(tmp_path / "ref")
+    run_validation(d, ref)
+    assert read_pipeline_outputs(out) == read_pipeline_outputs(ref) == oracle_validate(d)
+
+
+def test_default_run_does_not_use_ray_data(ray_session, tmp_path, monkeypatch):
+    # phase 1 and the driver-side dup path (the default threshold) run
+    # no Ray Data pipeline, so neither its executor start-up nor its
+    # per-call driver state is paid by a default run
+    import ray.data as rd
+
+    def refuse(*a, **k):
+        raise AssertionError("default run_validation read through Ray Data")
+
+    monkeypatch.setattr(rd, "read_parquet", refuse)
+    cfg = SynthConfig(n_docs=900, n_partitions=3, seed=43)
+    d = ensure_dataset(cfg)
+    out = str(tmp_path / "no_rd")
+    run_validation(d, out)
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+
+
 def test_validate_task_slices_merge_to_unsliced_call():
     # in-task slicing: the per-slice partials of one partition, merged
     # as the driver merges them, equal a single unsliced SpanValidator

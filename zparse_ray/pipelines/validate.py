@@ -1,12 +1,11 @@
 """The flagship validation pipeline (SURVEY §3.4 lifecycle).
 
-    read uncommitted partitions (one parquet file per partition)
-      -> map_batches(validate_task), one task per partition file
-         # grammar + order + ref-integrity + stats partials;
-         violations/docmeta written per partition by the task
+    phase 1: one Ray task (validate_file) per uncommitted partition file
+      -> the task reads its file: grammar + order + ref-integrity +
+         stats partials; violations/docmeta written by the task
          (resumable sink)
-      -> driver streams the tiny partials, committing each partition
-         to the manifest as its expected doc count completes
+      -> the driver takes results as tasks finish (ray.wait), checks
+         each partition's doc count and commits it to the manifest
     phase 2 (cheap, over compact intermediates):
       -> doc_id uniqueness: driver-side value_counts over docmeta below
          dup_driver_threshold rows, else one bucket shuffle over
@@ -24,7 +23,9 @@ object store once; partials/sketches are O(partitions), not O(rows).
 
 from __future__ import annotations
 
+import functools
 import glob
+import itertools
 import json as _json
 import os
 import re
@@ -37,7 +38,7 @@ import pyarrow.parquet as pq
 from ..functions import errors as E
 from ..functions.sketches import HyperLogLog, TDigest
 from ..schema import VERDICTS_SCHEMA, VIOLATIONS_SCHEMA
-from ..stages.spancheck import PARTIALS_SCHEMA, SpanValidator
+from ..stages.spancheck import PARTIALS_SCHEMA
 from ..state.checkpoint import Manifest, clean_stale_outputs
 
 _PART_RE = re.compile(r"part-(\d+)\.parquet$")
@@ -199,7 +200,6 @@ def run_validation(
     output. ``max_broadcast_dups`` has no effect and is kept only so
     existing callers still work."""
     import ray
-    import ray.data as rd
 
     import time as _time
 
@@ -213,7 +213,12 @@ def run_validation(
     if not files:
         raise FileNotFoundError(f"no input partitions under {spans_dir}/spans")
     pid_of = {f: int(_PART_RE.search(f).group(1)) for f in files}
-    expected = {pid_of[f]: pq.ParquetFile(f).metadata.num_rows for f in files}
+    expected = {}
+    for f in files:
+        try:
+            expected[pid_of[f]] = pq.ParquetFile(f).metadata.num_rows
+        except (OSError, pa.ArrowException):
+            pass  # unreadable: its phase-1 task fails and the run raises
 
     timings["plan"] = round(_time.time() - _t, 3)
     _t = _time.time()
@@ -223,7 +228,8 @@ def run_validation(
     clean_stale_outputs(out_dir, {pid_of[f] for f in todo})
 
     # ------------------------------------------------------------------
-    # phase 1: heavy validation pass, streaming, per-partition commit
+    # phase 1: one task per uncommitted partition file; the driver
+    # commits each partition as its task returns
     if todo:
         assets_path = os.path.join(spans_dir, "assets.parquet")
         assets_ref = None
@@ -236,60 +242,57 @@ def run_validation(
             )
             assets_ref = ray.put(assets)
 
-        from ..stages.spancheck import DEFAULT_MAX_SPAN_BYTES, validate_task
+        from ..stages.spancheck import DEFAULT_MAX_SPAN_BYTES, validate_file
 
-        total_docs = sum(expected.values())
-        ds = rd.read_parquet(todo, override_num_blocks=len(todo))
-        partials_ds = ds.map_batches(
-            validate_task,
-            fn_kwargs={
-                "assets_ref": assets_ref,
-                "out_dir": out_dir,
-                "round_trip": round_trip,
-                "carry_doc_hashes": total_docs <= dup_driver_threshold,
-                "quarantine": quarantine,
-                "max_span_bytes": max_span_bytes
-                if max_span_bytes is not None
-                else DEFAULT_MAX_SPAN_BYTES,
-                "parser_configs": parser_configs,
-                "batch_size": batch_size,
-            },
-            # whole blocks: one task per partition file, so Ray Data never
-            # bundles small partitions into a few oversized tasks; the
-            # task slices its block into batch_size rows for a
-            # cache-sized working set
-            batch_size=None,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-        seen: dict[int, int] = {}
-        merged: dict[int, dict] = {}
-        for b in partials_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-            for row in b.to_pylist():
-                pid = row["partition_id"]
-                seen[pid] = seen.get(pid, 0) + row["n_docs"]
-                merged[pid] = _merge_partials(merged[pid], row) if pid in merged else row
-                if seen[pid] == expected[pid]:
-                    part = merged.pop(pid)
-                    t = pa.Table.from_pylist([part], schema=PARTIALS_SCHEMA)
-                    ppath = os.path.join(out_dir, "partials", f"part-{pid:05d}.parquet")
-                    pq.write_table(t, ppath + ".tmp")
-                    os.replace(ppath + ".tmp", ppath)
-                    manifest.commit(
-                        pid,
-                        {
-                            "n_docs": part["n_docs"],
-                            "n_spans": part["n_spans"],
-                            "n_violations": part["n_violations"],
-                        },
-                    )
+        task = ray.remote(validate_file)
+        kw = {
+            "assets_ref": assets_ref,
+            "out_dir": out_dir,
+            "round_trip": round_trip,
+            "carry_doc_hashes": sum(expected.values()) <= dup_driver_threshold,
+            "quarantine": quarantine,
+            "max_span_bytes": DEFAULT_MAX_SPAN_BYTES if max_span_bytes is None else max_span_bytes,
+            "parser_configs": parser_configs,
+            "batch_size": batch_size,
+        }
+        # bounded in flight: every CPU stays busy while the driver commits
+        max_in_flight = 2 * max(int(ray.cluster_resources().get("CPU", 1)), 1)
+        queue = iter(todo)
+        in_flight: dict = {}
+        failed: dict[str, Exception] = {}  # uncommitted; raised when all tasks end
+        while True:
+            for f in itertools.islice(queue, max_in_flight - len(in_flight)):
+                in_flight[task.remote(f, **kw)] = f
+            if not in_flight:
+                break
+            (ref,), _ = ray.wait(list(in_flight), num_returns=1)
+            f = in_flight.pop(ref)
+            try:
+                rows = ray.get(ref).to_pylist()
+            except ray.exceptions.RayError as e:
+                failed[f] = e
+                continue
+            pid = pid_of[f]
+            n_docs = sum(r["n_docs"] for r in rows)
+            if n_docs != expected.get(pid) or any(r["partition_id"] != pid for r in rows):
+                ids = sorted({r["partition_id"] for r in rows})
+                failed[f] = RuntimeError(f"{n_docs} docs of partitions {ids}, footer: {expected.get(pid)}")
+                continue
+            if not rows:
+                continue  # an empty file has no verdict (as in the oracle)
+            part = functools.reduce(_merge_partials, rows)
+            t = pa.Table.from_pylist([part], schema=PARTIALS_SCHEMA)
+            ppath = os.path.join(out_dir, "partials", f"part-{pid:05d}.parquet")
+            pq.write_table(t, ppath + ".tmp")
+            os.replace(ppath + ".tmp", ppath)
+            manifest.commit(pid, {k: part[k] for k in ("n_docs", "n_spans", "n_violations")})
         timings["phase1"] = round(_time.time() - _t, 3)
         _t = _time.time()
-        if merged:
+        if failed:
             raise RuntimeError(
-                f"partitions incomplete after stream: { {p: (seen[p], expected[p]) for p in merged} }"
-            )
+                f"phase 1 failed on {len(failed)} partition file(s): {sorted(failed)}; "
+                "every other partition is committed"
+            ) from next(iter(failed.values()))
 
     # ------------------------------------------------------------------
     # phase 2a: doc_id uniqueness over compact docmeta (exact). The
@@ -324,11 +327,8 @@ def run_validation(
                 # docmeta doc_hash column
                 hash_bufs = []
                 pfiles = sorted(glob.glob(os.path.join(out_dir, "partials", "part-*.parquet")))
-                # EVERY partials file must carry doc_hashes (same
-                # discipline as the docmeta have_hash check above): a
-                # resume can mix old-schema partials in, and relying on
-                # read_table null-filling + the total_meta length guard
-                # to fall back is version-dependent behavior (ADVICE r3)
+                # EVERY partials file must carry doc_hashes, as above:
+                # a resume can mix old-schema partials in
                 if pfiles and all(
                     "doc_hashes" in pq.read_schema(f).names for f in pfiles
                 ):

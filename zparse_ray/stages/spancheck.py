@@ -1,11 +1,12 @@
 """D1/D2: the span-structure validator stage.
 
-Phase 1 of ``run_validation`` runs ``map_batches(validate_task,
-batch_size=None, batch_format="pyarrow", fn_kwargs=...)``: one stateless
-Ray task per input partition file. ``validate_task`` builds a
-``SpanValidator`` and calls it on zero-copy slices of its block; the
-broadcast asset key-set arrives as a pre-sorted object-store ref (a
-zero-copy read cached per worker process, never re-shipped per batch).
+Phase 1 of ``run_validation`` runs ``validate_file`` as plain Ray
+tasks, one per uncommitted input partition file: each task reads its
+own file with ``pq.read_table`` and validates it through
+``validate_task``, which builds one ``SpanValidator`` and calls it on
+zero-copy slices of the table. The broadcast asset key-set is put in
+the object store once by the driver, pre-sorted, and passed as a task
+argument, so Ray resolves it before the task starts.
 
 Per batch (zero-copy Arrow):
 1. vectorized prechecks first — span-count/byte-size limits, offset
@@ -24,9 +25,9 @@ Per batch (zero-copy Arrow):
    tests/property_tests.rs:121-156, applied per span);
 4. violations + docmeta are written to per-partition parquet files by
    the stage itself (atomic tmp+rename) — the resumable-sink pattern:
-   blocks align with input partition files, so the driver can commit a
-   partition in the manifest as soon as its expected row count has
-   streamed through;
+   one task validates one input partition file, so the driver commits
+   that partition in the manifest as soon as its task returns with the
+   expected row count;
 5. the stage RETURNS only tiny per-partition partial rows (counts,
    kind histogram, t-digest / HLL sketch bytes) for the verdict and
    drift phases — the heavy input stream never leaves the stage.
@@ -241,8 +242,8 @@ class SpanValidator:
         parser_configs: dict | None = None,
         carry_doc_hashes: bool = False,
     ):
-        # broadcast key set: ray.put once on the driver, ray.get here
-        # (zero-copy plasma read — never re-shipped per batch)
+        # broadcast key set: ray.put once on the driver; a ref passed as
+        # a task argument arrives resolved, a nested one is fetched here
         self.assets: np.ndarray | None = None
         if assets_ref is not None:
             import ray
@@ -262,7 +263,14 @@ class SpanValidator:
                 os.makedirs(os.path.join(out_dir, "quarantine"), exist_ok=True)
 
     # -- core ------------------------------------------------------------
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table, tag: str | None = None) -> pa.Table:
+        """Validate ``batch``; returns its per-partition partial rows.
+        The sink files are named ``part-<pid>-<tag>``: a caller that
+        validates fixed slices of one file passes a tag stable across
+        retries (its row offset), so a retried task overwrites the
+        dead attempt's files instead of adding a second set. Without a
+        tag the name is random, for callers that pass arbitrary
+        batches."""
         if batch.num_rows == 0:
             return PARTIALS_SCHEMA.empty_table()
         doc_ids = pc.fill_null(batch["doc_id"].combine_chunks(), "")
@@ -420,7 +428,7 @@ class SpanValidator:
 
         # resumable sink: write this batch's violations + docmeta per pid
         if self.out_dir:
-            tag = uuid.uuid4().hex[:12]
+            tag = tag or uuid.uuid4().hex[:12]
             for pid in np.unique(pids):
                 pid = int(pid)
                 pv = viol_table.filter(pc.equal(viol_table["partition_id"], pid))
@@ -498,34 +506,49 @@ def validate_task(
     carry_doc_hashes: bool = False,
     batch_size: int | None = None,
 ) -> pa.Table:
-    """Plain-function form for ``map_batches(validate_task,
-    batch_size=None, fn_kwargs=...)`` — stateless Ray tasks instead of
-    an actor pool, one task per input block (one partition file).
+    """Validate one Arrow table of spans rows, which may hold several
+    partitions; returns the partial rows of every slice.
 
-    Per the stateful-stage rule the state here is only the broadcast
-    asset ref: ``ray.get`` is a zero-copy plasma read cached per worker
-    process, and the driver pre-sorts the array, so per-task setup is
-    O(1). Tasks scale elastically and skip actor-pool spin-up — ~2x
-    faster end-to-end than the actor form for this stage.
-
-    ``batch_size`` slices the block inside the task: zero-copy slices of
-    that many rows keep the working set cache-sized on large partitions
-    (~25% faster at full concurrency than one whole-block call), while
-    the scheduler still sees one even-sized unit per partition. Each
-    slice returns its own partial rows; the driver merges them per pid.
+    ``assets_ref`` is the driver's pre-sorted asset array, or a ref to
+    it. ``batch_size`` slices the table: zero-copy slices of that many
+    rows keep the working set cache-sized on large partitions (~25%
+    faster at full concurrency than one whole-table call). Each slice
+    returns its own partial rows; the driver merges them per pid. The
+    sink files get random names, since the caller's batches need not be
+    reproducible; ``validate_file`` is the form that names them by row
+    offset.
     """
-    _tune_gc_once()
-    v = SpanValidator(
+    return _validate_slices(
+        batch,
+        batch_size,
+        tag_offsets=False,
         assets_ref=assets_ref,
         out_dir=out_dir,
         round_trip=round_trip,
         max_span_bytes=max_span_bytes,
-        assets_sorted=True,
         quarantine=quarantine,
         parser_configs=parser_configs,
         carry_doc_hashes=carry_doc_hashes,
     )
+
+
+def validate_file(path: str, *, batch_size: int | None = None, **kw) -> pa.Table:
+    """Phase 1's task body: read one partition file and validate it as
+    ``validate_task`` does (same keyword arguments). Each slice's sink
+    files are named by its row offset in the file, so a retried task
+    rewrites the same files."""
+    return _validate_slices(pq.read_table(path), batch_size, tag_offsets=True, **kw)
+
+
+def _validate_slices(
+    batch: pa.Table, batch_size: int | None, *, tag_offsets: bool, **validator_kw
+) -> pa.Table:
+    _tune_gc_once()
+    v = SpanValidator(assets_sorted=True, **validator_kw)
     step = batch_size or max(batch.num_rows, 1)
     return pa.concat_tables(
-        [v(batch.slice(i, step)) for i in range(0, max(batch.num_rows, 1), step)]
+        [
+            v(batch.slice(i, step), f"{i:012d}" if tag_offsets else None)
+            for i in range(0, max(batch.num_rows, 1), step)
+        ]
     )
