@@ -2,6 +2,7 @@
 drift tests (BASELINE.md parity gate: violations byte-match after
 deterministic sort; verdicts match exactly)."""
 
+import glob
 import json
 import os
 import shutil
@@ -103,40 +104,43 @@ def test_resume_skips_committed(spans_dir, run_out, tmp_path):
         assert os.path.getmtime(p) == t, f"committed output {p} was rewritten"
 
 
-def test_resume_with_old_schema_partials_falls_back(spans_dir, run_out, tmp_path):
-    """A resume can mix partials files written by an engine version
-    without the doc_hashes column; the dup fast path must detect that
-    (ALL files checked — ADVICE r3) and fall back to the docmeta
-    doc_hash scan with byte-identical results."""
-    out2 = str(tmp_path / "mixed_partials")
-    shutil.rmtree(out2, ignore_errors=True)
-    run_validation(spans_dir, out2, round_trip=True)
-    before = read_pipeline_outputs(out2)
+def test_resume_across_engine_versions(spans_dir, run_out, tmp_path):
+    """A resume can meet sink files of another engine version in either
+    direction: a partials file that still carries the dropped
+    doc_hashes column, and a docmeta file from before doc_hash existed.
+    Both phase-2a paths must give the uninterrupted run's outputs."""
+    import pyarrow as pa
 
-    # strip doc_hashes from ONE committed partials file (old-schema mix)
-    pdir = os.path.join(out2, "partials")
-    victim = sorted(os.listdir(pdir))[1]
-    vpath = os.path.join(pdir, victim)
-    t = pq.read_table(vpath)
-    pq.write_table(t.drop_columns(["doc_hashes"]), vpath)
+    for name, threshold in (("driver", 20_000_000), ("tasks", 0)):
+        out2 = str(tmp_path / name)
+        run_validation(spans_dir, out2, round_trip=True)
+        before = read_pipeline_outputs(out2)
 
-    # invalidate one partition so the resumed run re-finalizes
-    mpath = os.path.join(out2, "manifest.json")
-    m = json.load(open(mpath))
-    del m["partitions"]["3"]
-    json.dump(m, open(mpath, "w"))
-    for sub in ("violations", "docmeta", "partials"):
-        for name in os.listdir(os.path.join(out2, sub)):
-            if name.startswith("part-00003"):
-                os.remove(os.path.join(out2, sub, name))
+        pdir = os.path.join(out2, "partials")
+        ppath = os.path.join(pdir, sorted(os.listdir(pdir))[1])
+        t = pq.read_table(ppath)
+        pq.write_table(t.append_column("doc_hashes", pa.array([b"\0" * 8] * t.num_rows)), ppath)
+        mdir = os.path.join(out2, "docmeta")
+        mpath = os.path.join(mdir, sorted(os.listdir(mdir))[4])
+        pq.write_table(pq.read_table(mpath).drop_columns(["doc_hash"]), mpath)
 
-    run_validation(spans_dir, out2, round_trip=True)
-    assert read_pipeline_outputs(out2) == before
+        # invalidate one partition so the resumed run re-finalizes
+        manifest = os.path.join(out2, "manifest.json")
+        m = json.load(open(manifest))
+        del m["partitions"]["3"]
+        json.dump(m, open(manifest, "w"))
+        for sub in ("violations", "docmeta", "partials"):
+            for f in os.listdir(os.path.join(out2, sub)):
+                if f.startswith("part-00003"):
+                    os.remove(os.path.join(out2, sub, f))
+
+        run_validation(spans_dir, out2, round_trip=True, dup_driver_threshold=threshold)
+        assert read_pipeline_outputs(out2) == before, name
 
 
 def test_distributed_dup_path_matches_driver_path(spans_dir, run_out, tmp_path):
-    # force the distributed groupby(doc_id) path (the 10^12-scale path)
-    # and check it produces byte-identical output to the driver path
+    # force the task path of phase 2a (the 10^12-scale path) and check
+    # it produces byte-identical output to the driver path
     out2 = str(tmp_path / "dist_dups")
     run_validation(spans_dir, out2, round_trip=True, dup_driver_threshold=0)
     a = read_pipeline_outputs(OUT)
@@ -192,25 +196,88 @@ def test_distributed_dup_path_no_duplicates(ray_session, tmp_path):
     out = str(tmp_path / "dist_nodups")
     res = run_validation(d, out, round_trip=True, dup_driver_threshold=0)
     assert res["n_dup_violations"] == 0
-    assert not os.path.exists(os.path.join(out, "violations", "dups.parquet"))
+    assert not glob.glob(os.path.join(out, "violations", "dups*.parquet"))
     assert read_pipeline_outputs(out) == oracle_validate(d, round_trip=True)
 
 
 def test_distributed_dup_path_never_pulls_dup_set_to_driver(
     spans_dir, run_out, tmp_path, monkeypatch
 ):
-    # the distributed branch streams violation rows to the sink; neither
-    # the dup-id set nor the dup occurrences may be collected on the
-    # driver, whatever max_broadcast_dups says
-    import ray.data as rd
+    # on the task path the reducers build and write the violation rows
+    # in workers; the driver never builds them, so it never holds the
+    # dup set or the dup occurrences
+    import zparse_ray.pipelines.validate as V
 
     def refuse(*a, **k):
-        raise AssertionError("distributed dup path collected a dataset on the driver")
+        raise AssertionError("task dup path built violation rows on the driver")
 
-    monkeypatch.setattr(rd.Dataset, "take_all", refuse)
-    monkeypatch.setattr(rd.Dataset, "to_arrow_refs", refuse)
+    monkeypatch.setattr(V, "_dup_violation_rows", refuse)
     out = str(tmp_path / "dist_nopull")
     run_validation(spans_dir, out, round_trip=True, dup_driver_threshold=0)
+    assert read_pipeline_outputs(out) == read_pipeline_outputs(OUT)
+
+
+def test_task_dup_path_with_one_reducer(spans_dir, run_out, tmp_path, monkeypatch):
+    # a 1-CPU cluster gives one bucket: its split tasks return one bare
+    # table each, and one reducer writes the one dups file
+    import ray
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    out = str(tmp_path / "one_reducer")
+    run_validation(spans_dir, out, round_trip=True, dup_driver_threshold=0)
+    dups = glob.glob(os.path.join(out, "violations", "dups*.parquet"))
+    assert [os.path.basename(f) for f in dups] == ["dups-00000.parquet"]
+    assert read_pipeline_outputs(out) == read_pipeline_outputs(OUT)
+
+
+def test_phase2a_task_failure_raises_naming_the_file(ray_session, tmp_path):
+    # an unreadable docmeta file fails its split task: the run raises
+    # naming the file once every phase-2a task has ended, and a resume
+    # once the file is restored equals the oracle
+    cfg = SynthConfig(n_docs=1200, n_partitions=4, seed=41)
+    d = ensure_dataset(cfg)
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    bad = sorted(glob.glob(os.path.join(out, "docmeta", "part-*.parquet")))[2]
+    good = open(bad, "rb").read()
+    with open(bad, "wb") as f:
+        f.write(b"this is not a parquet file")
+    with pytest.raises(RuntimeError, match=os.path.basename(bad)):
+        run_validation(d, out, dup_driver_threshold=0)
+    with open(bad, "wb") as f:
+        f.write(good)
+    run_validation(d, out, dup_driver_threshold=0)
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+
+
+def test_resume_without_profile_drops_old_drift_rows(ray_session, tmp_path):
+    # phase 2 is recomputed on every call: a resume without a drift
+    # profile must not keep the Drift rows an earlier call wrote
+    clean = dict(invalid_rate=0.0, dup_rate=0.0, dangling_rate=0.0, span_order_rate=0.0)
+    d_ref = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=21, **clean))
+    run_validation(d_ref, str(tmp_path / "ref"))
+    profile_path = str(tmp_path / "profile.json")
+    build_profile(str(tmp_path / "ref"), profile_path)
+    d = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=22, mean_spans=20, **clean))
+    out = str(tmp_path / "out")
+    run_validation(d, out, drift_profile=profile_path)
+    assert any(v["check_id"] == "Drift" for v in read_pipeline_outputs(out)[0])
+    run_validation(d, out)
+    fresh = str(tmp_path / "fresh")
+    run_validation(d, fresh)
+    assert read_pipeline_outputs(out) == read_pipeline_outputs(fresh)
+
+
+def test_resume_drops_old_dups_files(spans_dir, run_out, tmp_path):
+    # a resume on a cluster with fewer CPUs runs fewer reducers, and an
+    # older engine wrote one dups.parquet: neither may be read twice
+    out = str(tmp_path / "stale_dups")
+    run_validation(spans_dir, out, round_trip=True, dup_driver_threshold=0)
+    vdir = os.path.join(out, "violations")
+    first = sorted(glob.glob(os.path.join(vdir, "dups-*.parquet")))[0]
+    for name in ("dups-00099.parquet", "dups.parquet"):
+        shutil.copy(first, os.path.join(vdir, name))
+    run_validation(spans_dir, out, round_trip=True)
     assert read_pipeline_outputs(out) == read_pipeline_outputs(OUT)
 
 
@@ -369,7 +436,7 @@ def test_retried_validate_file_rewrites_same_files(ray_session, tmp_path):
     for _ in range(2):
         validate_file(
             os.path.join(d, "spans", "part-00001.parquet"),
-            assets_ref=assets, out_dir=out, carry_doc_hashes=True, batch_size=150,
+            assets_ref=assets, out_dir=out, batch_size=150,
         )
         assert _sink_files(out) == before
     run_validation(d, out, batch_size=150)  # resume: phase 2 over the sink files
@@ -401,20 +468,21 @@ def test_unreadable_partition_raises_and_commits_the_rest(ray_session, tmp_path)
 
 
 def test_default_run_does_not_use_ray_data(ray_session, tmp_path, monkeypatch):
-    # phase 1 and the driver-side dup path (the default threshold) run
-    # no Ray Data pipeline, so neither its executor start-up nor its
-    # per-call driver state is paid by a default run
+    # phase 1 and both phase-2a paths (driver and tasks) run no Ray
+    # Data pipeline, so neither its executor start-up nor its per-call
+    # driver state is paid by a run
     import ray.data as rd
 
     def refuse(*a, **k):
-        raise AssertionError("default run_validation read through Ray Data")
+        raise AssertionError("run_validation read through Ray Data")
 
     monkeypatch.setattr(rd, "read_parquet", refuse)
     cfg = SynthConfig(n_docs=900, n_partitions=3, seed=43)
     d = ensure_dataset(cfg)
-    out = str(tmp_path / "no_rd")
-    run_validation(d, out)
-    assert read_pipeline_outputs(out) == oracle_validate(d)
+    for threshold in (20_000_000, 0):
+        out = str(tmp_path / f"no_rd_{threshold}")
+        run_validation(d, out, dup_driver_threshold=threshold)
+        assert read_pipeline_outputs(out) == oracle_validate(d), threshold
 
 
 def test_validate_task_slices_merge_to_unsliced_call():
@@ -440,9 +508,7 @@ def test_validate_task_slices_merge_to_unsliced_call():
     merged = rows[0]
     for r in rows[1:]:
         merged = _merge_partials(merged, r)
-    (whole,) = SpanValidator(
-        assets_ref=assets, assets_sorted=True, carry_doc_hashes=True
-    )(batch).to_pylist()
+    (whole,) = SpanValidator(assets_ref=assets, assets_sorted=True)(batch).to_pylist()
 
     digests = ("textlen_tdigest", "spans_tdigest")
     assert {k: v for k, v in merged.items() if k not in digests} == {
@@ -608,23 +674,6 @@ def test_violation_rows_carry_parser_line_col():
         assert line >= 1 and col >= 1
     # the JSON error is on line 3
     assert out[0][3] == 3
-
-
-def test_doc_hashes_not_carried_on_distributed_path(spans_dir, tmp_path):
-    # at 10^12 scale the partials stream must stay tiny: with the
-    # driver dup path disabled, no per-doc hashes ride to the driver
-    import glob as _glob
-
-    import pyarrow.parquet as _pq
-
-    from zparse_ray.pipelines.validate import run_validation
-
-    out = str(tmp_path / "no_hash_carry")
-    run_validation(spans_dir, out, round_trip=False, dup_driver_threshold=0)
-    pfiles = sorted(_glob.glob(out + "/partials/part-*.parquet"))
-    assert pfiles
-    t = _pq.read_table(pfiles, columns=["doc_hashes"])
-    assert all(len(b) == 0 for b in t["doc_hashes"].to_pylist())
 
 
 def test_dedup_corpus_exact_and_minhash(ray_session, tmp_path):

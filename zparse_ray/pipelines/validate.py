@@ -1,4 +1,5 @@
-"""The flagship validation pipeline (SURVEY §3.4 lifecycle).
+"""The flagship validation pipeline (SURVEY §3.4 lifecycle). It runs
+plain Ray tasks only, no Ray Data.
 
     phase 1: one Ray task (validate_file) per uncommitted partition file
       -> the task reads its file: grammar + order + ref-integrity +
@@ -6,11 +7,11 @@
          (resumable sink)
       -> the driver takes results as tasks finish (ray.wait), checks
          each partition's doc count and commits it to the manifest
-    phase 2 (cheap, over compact intermediates):
-      -> doc_id uniqueness: driver-side value_counts over docmeta below
-         dup_driver_threshold rows, else one bucket shuffle over
-         docmeta whose reducers emit the violation rows (shuffle of the
-         COMPACT docmeta stream, never the spans)
+    phase 2 (cheap, over compact intermediates; recomputed every call):
+      -> doc_id uniqueness: one reducer (_write_dups) over docmeta, run
+         in the driver or, past dup_driver_threshold rows, per bucket
+         of a hash shuffle in plain tasks (the COMPACT docmeta, never
+         the spans), writing violations/dups-*.parquet
       -> drift: per-partition sketches vs a frozen reference profile
          (KS on t-digest CDFs, PSI on kind histograms)
       -> per-partition verdicts written
@@ -23,6 +24,7 @@ object store once; partials/sketches are O(partitions), not O(rows).
 
 from __future__ import annotations
 
+import collections
 import functools
 import glob
 import itertools
@@ -36,8 +38,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions import errors as E
-from ..functions.sketches import HyperLogLog, TDigest
+from ..functions.sketches import HyperLogLog, TDigest, hash64
 from ..schema import VERDICTS_SCHEMA, VIOLATIONS_SCHEMA
+from ..stages.joins import ROWS_PER_BUCKET, _bucket_of, _warn_if_hot
 from ..stages.spancheck import PARTIALS_SCHEMA
 from ..state.checkpoint import Manifest, clean_stale_outputs
 
@@ -82,53 +85,42 @@ def _dup_violation_rows(t: pa.Table) -> pa.Table:
     ).sort_by([("partition_id", "ascending"), ("doc_id", "ascending")])
 
 
-def _write_dup_violations_distributed(meta_files, out_dir, est_rows):
-    """Distributed doc_id uniqueness in ONE hash shuffle: every
-    occurrence of an id hashes to the same bucket, so after
-    ``groupby("__bucket")`` each reducer sees complete counts for its
-    ids and emits their violation rows itself. The driver only streams
-    the (usually tiny) result into the sink file — it never holds the
-    dup set or the docmeta. Rows are sorted by (partition_id, doc_id)
-    within each bucket chunk, not globally; readers sort or aggregate.
-    Returns (n_rows, dup_pid_counts)."""
-    import ray.data as rd
+def _meta_split(path: str, n: int) -> pa.Table | list[pa.Table]:
+    """One docmeta file's ``partition_id, doc_id, doc_hash`` split into
+    ``n`` tables by ``_bucket_of(doc_hash, n)``; with ``n == 1``, the
+    table itself. Read alone, a file from before docmeta carried
+    ``doc_hash`` gets ``hash64(doc_id)``, never a null-filled column."""
+    t = pq.read_table(path)
+    if "doc_hash" not in t.column_names:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        t = t.append_column("doc_hash", pa.array(hash64(ids).astype(np.int64)))
+    t = t.select(["partition_id", "doc_id", "doc_hash"])
+    if n == 1:
+        return t
+    b = _bucket_of(t["doc_hash"], n)
+    ends = np.cumsum(np.bincount(b, minlength=n))[:-1]
+    return [t.take(ix) for ix in np.split(np.argsort(b, kind="stable"), ends)]
 
-    from ..stages.joins import _bucket_of, _warn_if_hot, resolve_n_buckets
 
-    n_buckets = resolve_n_buckets(est_rows)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__bucket", pa.array(_bucket_of(t["doc_id"], n_buckets), pa.int32())
-        )
-
-    def dup_rows(t: pa.Table) -> pa.Table:
-        _warn_if_hot(t.num_rows, "doc_id uniqueness")
-        return _dup_violation_rows(t)
-
-    viol = (
-        rd.read_parquet(meta_files, columns=["partition_id", "doc_id"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dup_rows, batch_format="pyarrow")
-    )
-    path = os.path.join(out_dir, "violations", "dups.parquet")
-    n_rows = 0
-    dup_pid_counts: dict[int, int] = {}
-    writer = None
-    for b in viol.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        if writer is None:
-            writer = pq.ParquetWriter(path + ".tmp", VIOLATIONS_SCHEMA)
-        writer.write_table(b)
-        n_rows += b.num_rows
-        for p, c in zip(*np.unique(b["partition_id"].to_numpy(), return_counts=True)):
-            dup_pid_counts[int(p)] = dup_pid_counts.get(int(p), 0) + int(c)
-    if writer is not None:
-        writer.close()
-        os.replace(path + ".tmp", path)
-    return n_rows, dup_pid_counts
+def _write_dups(path: str, *parts: pa.Table) -> tuple[int, dict[int, int]]:
+    """doc_id uniqueness over ``parts``, which hold every occurrence of
+    their ids: repeated ``doc_hash`` values pick the candidates, and the
+    exact string check on those drops hash collisions. Writes the
+    DuplicateKey rows, if any, to ``path``; returns ``(n_rows,
+    {partition_id: n_rows})``."""
+    t = pa.concat_tables(parts)
+    _warn_if_hot(t.num_rows, "doc_id uniqueness")
+    h = np.sort(t["doc_hash"].to_numpy())
+    cand = np.unique(h[1:][h[1:] == h[:-1]])
+    if not len(cand):
+        return 0, {}
+    dups = _dup_violation_rows(t.filter(pc.is_in(t["doc_hash"], value_set=pa.array(cand))))
+    if not dups.num_rows:
+        return 0, {}
+    pq.write_table(dups, path + ".tmp")
+    os.replace(path + ".tmp", path)
+    pids, counts = np.unique(dups["partition_id"].to_numpy(), return_counts=True)
+    return dups.num_rows, {int(p): int(c) for p, c in zip(pids, counts)}
 
 
 def _merge_partials(a: dict, b: dict) -> dict:
@@ -147,7 +139,6 @@ def _merge_partials(a: dict, b: dict) -> dict:
         "spans_tdigest": TDigest.from_bytes(a["spans_tdigest"]).merge(TDigest.from_bytes(b["spans_tdigest"])).to_bytes(),
         "doc_hll": HyperLogLog.from_bytes(a["doc_hll"]).merge(HyperLogLog.from_bytes(b["doc_hll"])).to_bytes(),
         "ref_hll": HyperLogLog.from_bytes(a["ref_hll"]).merge(HyperLogLog.from_bytes(b["ref_hll"])).to_bytes(),
-        "doc_hashes": a.get("doc_hashes", b"") + b.get("doc_hashes", b""),
     }
 
 
@@ -194,11 +185,12 @@ def run_validation(
 
     doc_id uniqueness is exact. A null doc_id reads as ``""`` (engine
     and oracle alike), so all null-id docs, and any literal ``""`` ids,
-    count as duplicates of one another. Docmeta with at most
-    ``dup_driver_threshold`` rows is resolved on the driver, larger
-    docmeta by one distributed bucket shuffle; both give the same
-    output. ``max_broadcast_dups`` has no effect and is kept only so
-    existing callers still work."""
+    count as duplicates of one another. One reducer finds the
+    duplicates: in the driver for at most ``dup_driver_threshold`` docs,
+    else as a hash shuffle in plain Ray tasks; both give the same rows,
+    in one or more ``violations/dups-*.parquet`` files sorted within
+    each file only. ``max_broadcast_dups`` has no effect and is kept
+    only so existing callers still work."""
     import ray
 
     import time as _time
@@ -249,7 +241,6 @@ def run_validation(
             "assets_ref": assets_ref,
             "out_dir": out_dir,
             "round_trip": round_trip,
-            "carry_doc_hashes": sum(expected.values()) <= dup_driver_threshold,
             "quarantine": quarantine,
             "max_span_bytes": DEFAULT_MAX_SPAN_BYTES if max_span_bytes is None else max_span_bytes,
             "parser_configs": parser_configs,
@@ -295,88 +286,38 @@ def run_validation(
             ) from next(iter(failed.values()))
 
     # ------------------------------------------------------------------
-    # phase 2a: doc_id uniqueness over compact docmeta (exact). The
-    # docmeta stream is ~50x smaller than the input; below the threshold
-    # the driver resolves dups directly (zero extra Ray jobs), above it
-    # one bucket shuffle over docmeta runs and its reducers emit the
-    # violation rows — same output either way (the distributed path is
-    # what runs at 10^12 scale; one hot id still lands whole in its
-    # bucket, which _warn_if_hot reports).
+    # phase 2a: doc_id uniqueness over the compact docmeta (exact). Phase
+    # 2 is recomputed on every call, so first drop what an earlier one wrote
+    vdir = os.path.join(out_dir, "violations")
+    for f in glob.glob(os.path.join(vdir, "dups*.parquet")) + glob.glob(os.path.join(vdir, "drift.parquet")):
+        os.remove(f)
     meta_files = sorted(glob.glob(os.path.join(out_dir, "docmeta", "part-*.parquet")))
-    dup_pid_counts: dict[int, int] = {}
-    n_dup_rows = 0
-    if meta_files:
-        total_meta = sum(pq.ParquetFile(f).metadata.num_rows for f in meta_files)
-        if total_meta <= dup_driver_threshold:
-            # hash-first fast path: scan ONLY the int64 doc_hash column
-            # (far cheaper to read and to value_count than the id
-            # strings); candidate hashes with count > 1 gate a pushdown
-            # read of the string rows, where the exact string
-            # value_counts removes hash collisions. Falls back to the
-            # string scan for docmeta written before doc_hash existed.
-            # EVERY file must carry doc_hash — a resume across engine
-            # versions can mix old-schema docmeta in, where read_table
-            # would null-fill the hashes and silently drop cross-file
-            # duplicates from the candidate set
-            have_hash = all(
-                "doc_hash" in pq.read_schema(f).names for f in meta_files
-            )
-            if have_hash:
-                # candidate hashes come from the partials stream when it
-                # carried them (no docmeta re-read at all), else from the
-                # docmeta doc_hash column
-                hash_bufs = []
-                pfiles = sorted(glob.glob(os.path.join(out_dir, "partials", "part-*.parquet")))
-                # EVERY partials file must carry doc_hashes, as above:
-                # a resume can mix old-schema partials in
-                if pfiles and all(
-                    "doc_hashes" in pq.read_schema(f).names for f in pfiles
-                ):
-                    for buf in pq.read_table(pfiles, columns=["doc_hashes"])[
-                        "doc_hashes"
-                    ].to_pylist():
-                        if buf:
-                            hash_bufs.append(np.frombuffer(buf, dtype=np.uint64))
-                if hash_bufs and sum(len(x) for x in hash_bufs) == total_meta:
-                    # sort + adjacent-equality: ~40x faster than
-                    # np.unique(return_counts=True) for the dup-candidate
-                    # set (no unique/count arrays materialized)
-                    sa = np.sort(np.concatenate(hash_bufs))
-                    dup_adj = sa[1:][sa[1:] == sa[:-1]]
-                    cand = pa.array(
-                        np.unique(dup_adj).astype(np.int64), pa.int64()
-                    )
-                else:
-                    vc_h = pc.value_counts(
-                        pq.read_table(meta_files, columns=["doc_hash"])["doc_hash"].combine_chunks()
-                    )
-                    cand = vc_h.field("values").filter(pc.greater(vc_h.field("counts"), 1))
-                if len(cand):
-                    import pyarrow.dataset as pads
-
-                    occ = pads.dataset(meta_files).to_table(
-                        columns=["partition_id", "doc_id"],
-                        filter=pads.field("doc_hash").isin(cand),
-                    )
-                else:
-                    occ = None
-            else:
-                occ = pq.read_table(meta_files, columns=["partition_id", "doc_id"])
-            if occ is not None:
-                dup_tbl = _dup_violation_rows(occ)
-                n_dup_rows = dup_tbl.num_rows
-                if n_dup_rows:
-                    path = os.path.join(out_dir, "violations", "dups.parquet")
-                    pq.write_table(dup_tbl, path + ".tmp")
-                    os.replace(path + ".tmp", path)
-                    for pid, cnt in zip(*np.unique(dup_tbl["partition_id"].to_numpy(), return_counts=True)):
-                        dup_pid_counts[int(pid)] = int(cnt)
-        else:
-            # distributed path (the 10^12-doc branch): one bucket
-            # shuffle whose reducers write the violation rows
-            n_dup_rows, dup_pid_counts = _write_dup_violations_distributed(
-                meta_files, out_dir, est_rows=total_meta
-            )
+    n_meta = sum(expected.values())  # phase 1 checked docmeta's rows against these
+    if not meta_files:
+        dup_results = []
+    elif n_meta <= dup_driver_threshold:
+        dup_results = [_write_dups(os.path.join(vdir, "dups-00000.parquet"), *[_meta_split(f, 1) for f in meta_files])]
+    else:
+        # the same reducer behind a hash shuffle of plain tasks: one split
+        # task per docmeta file, then one reducer per bucket, with at
+        # least one bucket per CPU and about ROWS_PER_BUCKET rows each
+        n_buckets = max(int(ray.cluster_resources().get("CPU", 1)), 1, -(-n_meta // ROWS_PER_BUCKET))
+        split = ray.remote(_meta_split).options(num_returns=n_buckets)
+        maps = [split.remote(f, n_buckets) for f in meta_files]
+        if n_buckets == 1:  # num_returns=1 gives a bare ref, not a list of one
+            maps = [[m] for m in maps]
+        reduce = ray.remote(_write_dups)
+        refs = [reduce.remote(os.path.join(vdir, f"dups-{r:05d}.parquet"), *[m[r] for m in maps]) for r in range(n_buckets)]
+        # every phase-2a task has ended before anything raises
+        ray.wait(refs + [m[0] for m in maps], num_returns=n_buckets + len(maps), fetch_local=False)
+        try:
+            dup_results = ray.get(refs)
+        except ray.exceptions.RayError as e:
+            raise RuntimeError(f"phase 2a failed: {getattr(e, 'cause', None) or e}") from e
+    n_dup_rows = sum(n for n, _ in dup_results)
+    dup_pid_counts: collections.Counter = collections.Counter()
+    for _, counts in dup_results:  # a partition's ids spread over reducers
+        dup_pid_counts.update(counts)
 
     timings["phase2a_dups"] = round(_time.time() - _t, 3)
     _t = _time.time()
@@ -388,7 +329,8 @@ def run_validation(
         profile = _json.loads(open(drift_profile).read())
 
     partial_files = sorted(glob.glob(os.path.join(out_dir, "partials", "part-*.parquet")))
-    partials = pq.read_table(partial_files).to_pylist() if partial_files else []
+    # the column list drops what an older engine's partials carried
+    partials = pq.read_table(partial_files, columns=PARTIALS_SCHEMA.names).to_pylist() if partial_files else []
     verdict_rows = []
     drift_viols = []
     totals = {"n_docs": 0, "n_spans": 0, "n_violations": 0}

@@ -61,7 +61,7 @@ from ..functions.convert import (
 from ..functions.csv_parser import check_csv, parse_csv
 from ..functions.errors import ParseError
 from ..functions.json_parser import parse_json, parse_jsonc
-from ..functions.sketches import HyperLogLog, TDigest
+from ..functions.sketches import HyperLogLog, TDigest, hash64
 from ..functions.toml_parser import parse_toml
 from ..functions.xml_parser import check_xml, parse_xml
 from ..functions.yaml_parser import parse_yaml
@@ -108,11 +108,6 @@ PARTIALS_SCHEMA = pa.schema(
         ("spans_tdigest", pa.binary()),
         ("doc_hll", pa.binary()),
         ("ref_hll", pa.binary()),
-        # uint64 doc_id hashes (tobytes), present only when the driver
-        # opted in (docmeta small enough for the driver dup path): lets
-        # phase 2a count dup candidates from the partials stream with no
-        # docmeta re-read. Empty at 10^12 scale (distributed dup path).
-        ("doc_hashes", pa.binary()),
     ]
 )
 
@@ -120,8 +115,10 @@ DOCMETA_SCHEMA = pa.schema(
     [
         ("partition_id", pa.int32()),
         ("doc_id", pa.string()),
-        ("doc_hash", pa.int64()),  # hash64(doc_id): dup detection scans
-        # this int column instead of the strings (phase 2a fast path)
+        # hash64(doc_id): phase 2a buckets and finds candidate
+        # duplicates on this int column, and compares strings only
+        # for the candidates
+        ("doc_hash", pa.int64()),
         ("n_spans", pa.int32()),
         ("n_violations", pa.int32()),
     ]
@@ -240,7 +237,6 @@ class SpanValidator:
         assets_sorted: bool = False,
         quarantine: bool = False,
         parser_configs: dict | None = None,
-        carry_doc_hashes: bool = False,
     ):
         # broadcast key set: ray.put once on the driver; a ref passed as
         # a task argument arrives resolved, a nested one is fetched here
@@ -255,7 +251,6 @@ class SpanValidator:
         self.max_span_bytes = max_span_bytes
         self.quarantine = quarantine
         self.parser_configs = parser_configs
-        self.carry_doc_hashes = carry_doc_hashes
         if out_dir:
             os.makedirs(os.path.join(out_dir, "violations"), exist_ok=True)
             os.makedirs(os.path.join(out_dir, "docmeta"), exist_ok=True)
@@ -383,9 +378,6 @@ class SpanValidator:
             schema=VIOLATIONS_SCHEMA,
         )
 
-        from ..functions.sketches import hash64 as _h64
-
-        doc_hashes = _h64(doc_np).astype(np.int64)
         # per-partition partials (a batch usually holds exactly one pid)
         partial_rows = []
         for pid in np.unique(pids):
@@ -420,15 +412,13 @@ class SpanValidator:
                     "spans_tdigest": td_spans.to_bytes(),
                     "doc_hll": hll_doc.to_bytes(),
                     "ref_hll": hll_ref.to_bytes(),
-                    "doc_hashes": (
-                        doc_hashes[rmask].tobytes() if self.carry_doc_hashes else b""
-                    ),
                 }
             )
 
         # resumable sink: write this batch's violations + docmeta per pid
         if self.out_dir:
             tag = tag or uuid.uuid4().hex[:12]
+            doc_hashes = hash64(doc_np).astype(np.int64)
             for pid in np.unique(pids):
                 pid = int(pid)
                 pv = viol_table.filter(pc.equal(viol_table["partition_id"], pid))
@@ -516,7 +506,8 @@ def validate_task(
     returns its own partial rows; the driver merges them per pid. The
     sink files get random names, since the caller's batches need not be
     reproducible; ``validate_file`` is the form that names them by row
-    offset.
+    offset. ``carry_doc_hashes`` has no effect and is kept only so
+    existing callers still work.
     """
     return _validate_slices(
         batch,
@@ -528,7 +519,6 @@ def validate_task(
         max_span_bytes=max_span_bytes,
         quarantine=quarantine,
         parser_configs=parser_configs,
-        carry_doc_hashes=carry_doc_hashes,
     )
 
 
