@@ -1,12 +1,13 @@
-"""Accept-only fast paths: ``check_csv`` / ``check_xml`` against the exact
-parsers.
+"""Accept-only fast paths: ``check_csv`` / ``check_xml`` / ``check_toml`` /
+``check_yaml`` against the exact parsers.
 
 A fast path may only say "valid". Everything else runs the exact parser,
 so on every input the checker raises exactly when the parser raises, with
 the same (check_id, message, offset, line, col). The differential
-property tests below generate grammar-relevant garbage, quote- and
-tag-heavy text and one-char mutations of valid synth payloads, and pin
-the hand-picked inputs that sit on either side of each guard.
+property tests below generate grammar-relevant garbage, quote-, tag-,
+bracket- and indent-heavy text and one-char mutations of valid synth
+payloads, and pin the hand-picked inputs that sit on either side of each
+guard or subset boundary.
 """
 
 import csv
@@ -19,10 +20,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zparse_ray.functions import csv_parser, xml_parser
+from zparse_ray.functions import csv_parser, toml_parser, xml_parser, yaml_parser
 from zparse_ray.functions.csv_parser import CsvConfig, check_csv, parse_csv
 from zparse_ray.functions.errors import ParseError
+from zparse_ray.functions.toml_parser import TomlConfig, check_toml, parse_toml
 from zparse_ray.functions.xml_parser import XmlConfig, check_xml, parse_xml
+from zparse_ray.functions.yaml_parser import YamlConfig, check_yaml, parse_yaml
 from zparse_ray.synth import _INVALID_MENU, _valid_payload
 
 from test_fuzz import _grammar_text
@@ -49,6 +52,45 @@ def assert_xml_agrees(text, cfg=None):
     assert _outcome(check_xml, text, cfg) == _outcome(parse_xml, text, cfg), text
 
 
+def assert_toml_agrees(text, cfg=None):
+    assert _outcome(check_toml, text, cfg) == _outcome(parse_toml, text, cfg), (text, cfg)
+
+
+def assert_yaml_agrees(text, cfg=None):
+    assert _outcome(check_yaml, text, cfg) == _outcome(parse_yaml, text, cfg), (text, cfg)
+
+
+def assert_reaches_exact(monkeypatch, module, name, check, text, cfg=None):
+    """``check`` hands ``text`` to the exact parser ``module.name`` and
+    ends as it does."""
+    exact = getattr(module, name)
+    calls = []
+
+    def spy(*a, **k):
+        calls.append(a)
+        return exact(*a, **k)
+
+    monkeypatch.setattr(module, name, spy)
+    got = _outcome(check, text, cfg)
+    monkeypatch.setattr(module, name, exact)
+    assert calls, f"{name} not called for {text!r}"
+    assert got == _outcome(exact, text, cfg), text
+
+
+def assert_fast_accept(monkeypatch, module, name, check, text, cfg=None):
+    """The exact parser accepts ``text``, and ``check`` accepts it
+    without calling it."""
+    exact = getattr(module, name)
+    exact(text, cfg)
+
+    def boom(*a, **k):
+        raise AssertionError("exact parser called")
+
+    monkeypatch.setattr(module, name, boom)
+    assert check(text, cfg) is None
+    monkeypatch.setattr(module, name, exact)
+
+
 _csv_text = st.text(alphabet=st.sampled_from(list('"",,;\t| \x0c\n\r\r\nab1 é\x00')), max_size=60)
 _xml_text = st.lists(
     st.sampled_from(
@@ -58,6 +100,26 @@ _xml_text = st.lists(
     ),
     max_size=24,
 ).map("".join)
+_toml_text = st.lists(
+    st.sampled_from(
+        ["a", "k0", "b-c", "_", "1", "-2", "1.5", "123456789012345678", "1234567890123456789",
+         "true", "false", "inf", "1e5", "1_0", "+1", "1979-05-27", " = ", "=", " ", "\t", "\n",
+         "\r", ", ", ",", "[", "]", "[[", "]]", "{", "}", '"x"', '""', '"""', '"\\n"', "'s'",
+         "#", ".", '"', "é", "\x00"]
+    ),
+    max_size=30,
+).map("".join)
+_yaml_text = st.lists(
+    st.sampled_from(
+        ["a", "k0", "b", ": ", ":", "- ", "-", "\n", "\n  ", "\n    ", " ", "  ", "\t", "1",
+         "-5", "x y", "null", '"q"', '""', '"\\n"', "'s'", "#", "[", "]", "{", "}", ",", "\r",
+         "é", "\\"]
+    ),
+    max_size=30,
+).map("".join)
+_TOML_CFGS = [None, TomlConfig(max_depth=1), TomlConfig(max_depth=2), TomlConfig(max_depth=0),
+              TomlConfig(max_size=24)]
+_YAML_CFGS = [None, YamlConfig(max_depth=1), YamlConfig(max_depth=2), YamlConfig(max_depth=0)]
 
 
 def _mutate(text: str, rng: random.Random, alphabet: str) -> str:
@@ -108,6 +170,38 @@ def test_mutated_synth_xml_agrees(seed, n_mut):
     assert_xml_agrees(text)
 
 
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(_grammar_text, _toml_text), cfg=st.sampled_from(_TOML_CFGS))
+def test_check_toml_matches_parse_toml(text, cfg):
+    assert_toml_agrees(text, cfg)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(_grammar_text, _yaml_text), cfg=st.sampled_from(_YAML_CFGS))
+def test_check_yaml_matches_parse_yaml(text, cfg):
+    assert_yaml_agrees(text, cfg)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n_mut=st.integers(0, 3), cfg=st.sampled_from(_TOML_CFGS))
+def test_mutated_synth_toml_agrees(seed, n_mut, cfg):
+    rng = random.Random(seed)
+    text = _valid_payload("toml", rng)
+    for _ in range(n_mut):
+        text = _mutate(text, rng, "\"'[]{}=,.#\n\r\t -+_019eEtfk:TZ\\")
+    assert_toml_agrees(text, cfg)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n_mut=st.integers(0, 3), cfg=st.sampled_from(_YAML_CFGS))
+def test_mutated_synth_yaml_agrees(seed, n_mut, cfg):
+    rng = random.Random(seed)
+    text = _valid_payload("yaml", rng)
+    for _ in range(n_mut):
+        text = _mutate(text, rng, "\"'[]{}:,#\n\r\t -+_01k\\")
+    assert_yaml_agrees(text, cfg)
+
+
 @pytest.mark.parametrize("text,check", _INVALID_MENU["csv"])
 @pytest.mark.parametrize("delimiter", DELIMITERS)
 def test_planted_csv_errors_agree(text, check, delimiter):
@@ -120,6 +214,18 @@ def test_planted_csv_errors_agree(text, check, delimiter):
 def test_planted_xml_errors_agree(text, check):
     assert _outcome(check_xml, text)[0] == check
     assert_xml_agrees(text)
+
+
+@pytest.mark.parametrize("text,check", _INVALID_MENU["toml"])
+def test_planted_toml_errors_agree(text, check):
+    assert _outcome(check_toml, text)[0] == check
+    assert_toml_agrees(text)
+
+
+@pytest.mark.parametrize("text,check", _INVALID_MENU["yaml"])
+def test_planted_yaml_errors_agree(text, check):
+    assert _outcome(check_yaml, text)[0] == check
+    assert_yaml_agrees(text)
 
 
 # -- pinned guard cases -------------------------------------------------------
@@ -209,6 +315,169 @@ def test_deep_xml_not_accepted_by_expat():
     assert _outcome(check_xml, text) == "RecursionError"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 = 2",                    # numeric key: InvalidKey
+        "-1 = 2",
+        "true = 1",                 # bool key: InvalidKey
+        "false = 'x'",
+        "a.b = 1",                  # dotted key
+        "[t]\na = 1",               # table header
+        "[[t]]\na = 1",             # array-of-tables header
+        "[t]\na = 1\n[t]\nb = 2",
+        'a = "x\\ty"',              # escape
+        'a = "x\\qy"',              # bad escape
+        "a = 's'",                  # literal string
+        'a = """x\ny"""',           # multi-line string
+        "a = '''x'''",
+        "a = 1 # c",                # comment
+        "# c\na = 1",
+        "a = 1\r\nb = 2",           # \r
+        "a = 1979-05-27",           # datetimes
+        "a = 07:32:00",
+        "a = 1979-05-27T07:32:00Z",
+        "a = 1979-13-27",
+        "a = 1e5",                  # exponents
+        "a = 1.5E-3",
+        "a = 1_000",                # separators
+        "a = +1",                   # explicit sign
+        "a = inf",                  # inf / nan
+        "a = -nan",
+        "a = 9223372036854775808",  # 19 digits, >= 2**63: InvalidNumber
+        "a = 1000000000000000000",  # 19 digits, < 2**63: valid
+        "a = 1.",
+        "a = [\n1,\n2\n]",          # multi-line array
+        "a = {\nb = 1}",
+        "a = 1 b = 2",              # two pairs on one line
+        'a = "x" "y"',
+        "a = [1 2]",
+        "a = [,]",
+        "a = {,}",
+        "a = {b = 1 c = 2}",
+        "a = [[1]",
+        "a = [1]]",
+        "a = 1\na = 2",             # a repeated key at each depth
+        "a = {b = 1, b = 2}",
+        "a = [{b = {c = 1, c = 2}}]",
+        "a = {b = {c = {d = 1, d = 2}}}",
+        "a = {k = 1, kk = 2, k = 3}",
+        "a = {b = 1, c = 2,}\nc = 3\na = 4",
+        "a = " + "[" * 9 + "1" + "]" * 9,  # deeper than the subset's bound
+        "a = \x00",
+        'a = "\x00"',
+    ],
+)
+def test_toml_guard_cases_reach_exact_parser(monkeypatch, text):
+    assert_reaches_exact(monkeypatch, toml_parser, "parse_toml", check_toml, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n \n",
+        'a = 1\nb = [1, -2.5, true, "x", [], {}]',
+        "a = [[1], [2, [3]], {b = {a = 1}, a = [1,]},]",
+        "a = {a = {a = 1}, b = 2}\nb = {a = 1}",  # one key name in several tables
+        "k-1 = 1\ntrue-x = 2\ninf = 3\nk12 = 4",  # digits after the first key char
+        '\t a\t=\t"x#y[z]=\'"  \n\n',
+        "a = 123456789012345678\nb = -123456789012345678",
+    ],
+)
+def test_toml_subset_accepted_without_exact_parser(monkeypatch, text):
+    assert_fast_accept(monkeypatch, toml_parser, "parse_toml", check_toml, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a:\n\tb: 1",               # tabs
+        "a:\t1",
+        "- \tx",
+        "a: [1, 2]",                # flow collections
+        "a: {b: 1}",
+        "a: {b: 1, b: 2}",
+        "- [1",
+        "a: 's'",                   # single quotes
+        'a: "x\\ny"',               # escapes
+        'a: "x\\qy"',
+        'a: "x',
+        "- k: v\n  j: w",           # mapping items
+        "- k: v\n- k: v",
+        "-x\n-y",                   # items without a space
+        "-",                        # bare items
+        "-\n  a: 1",
+        " a: 1\n b: 2",             # non-zero root indent
+        "  - x",
+        "a:\n- 1\n- 2",             # key: then items at the same indent
+        "a: 1\n- 2",
+        "- 1\na: 2",
+        "a:\n    b: 1\n  c: 2",      # a dedent onto no enclosing level
+        "a:\n  - 1\n - 2",
+        "a: 1\n  b: 2",              # a deeper line under a scalar
+        "- 1\n  - 2",
+        "a: 1\na: 2",               # a repeated key at each level
+        "a:\n  b: 1\n  b: 2",
+        "a:\n  b:\n    c: 1\n    c: 2\nd: 3",
+        "a: 1 # c",                 # comment
+        "a: x: y",                  # ':' in a plain scalar
+        "a:x",
+        "hello",                    # scalar document
+        "a: 1\r\nb: 2",
+        "a:\n" + "".join(" " * i + f"k{i}:\n" for i in range(1, 20)),  # past the bound
+    ],
+)
+def test_yaml_guard_cases_reach_exact_parser(monkeypatch, text):
+    assert_reaches_exact(monkeypatch, yaml_parser, "parse_yaml", check_yaml, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n  \n",
+        "a: 1\nb:\nc: -2.5",
+        'a:\n  - 1\n  - x y\n  - "q: x"\nb:\n   c: null\n   d:\n     e: ~',
+        "a:\n  a:\n    a: 1\n  b: 2\nb: 3",  # one key name on several levels
+        "- a\n- -5\n-  b  ",
+        "k-1: x\ntrue: y\nnull: -x",
+    ],
+)
+def test_yaml_subset_accepted_without_exact_parser(monkeypatch, text):
+    assert_fast_accept(monkeypatch, yaml_parser, "parse_yaml", check_yaml, text)
+
+
+def test_toml_yaml_configs_agree(monkeypatch):
+    # max_size: the check raises the exact MaxSizeExceeded up front
+    cfg = TomlConfig(max_size=16)
+    for text in ('a = "' + "x" * 10 + '"', 'a = "' + "x" * 11 + '"', 'a = "' + "é" * 6 + '"'):
+        assert_toml_agrees(text, cfg)
+    assert _outcome(check_toml, 'a = "' + "é" * 6 + '"', cfg)[0] == "MaxSizeExceeded"
+    assert_fast_accept(monkeypatch, toml_parser, "parse_toml", check_toml, 'a = "xxxxxxxxxx"', cfg)
+    # max_depth: nesting within the limit is a fast accept; past it the
+    # exact parser raises MaxDepthExceeded (and max_depth=0 has no limit)
+    for depth in range(1, 11):
+        text = "a = " + "[" * depth + "1" + "]" * depth
+        for cfg in (TomlConfig(max_depth=2), TomlConfig(max_depth=0)):
+            assert_toml_agrees(text, cfg)
+    assert _outcome(check_toml, "a = [[[1]]]", TomlConfig(max_depth=2))[0] == "MaxDepthExceeded"
+    assert_fast_accept(
+        monkeypatch, toml_parser, "parse_toml", check_toml, "a = {b = [1]}", TomlConfig(max_depth=2)
+    )
+    assert_reaches_exact(
+        monkeypatch, toml_parser, "parse_toml", check_toml, "a = {b = [1]}", TomlConfig(max_depth=1)
+    )
+    nested = "a:\n  b:\n    c: 1"
+    for cfg in (YamlConfig(max_depth=1), YamlConfig(max_depth=2), YamlConfig(max_depth=0)):
+        assert_yaml_agrees(nested, cfg)
+    assert _outcome(check_yaml, nested, YamlConfig(max_depth=2))[0] == "MaxDepthExceeded"
+    assert_reaches_exact(
+        monkeypatch, yaml_parser, "parse_yaml", check_yaml, nested, YamlConfig(max_depth=2)
+    )
+    assert_fast_accept(monkeypatch, yaml_parser, "parse_yaml", check_yaml, nested, YamlConfig(max_depth=3))
+
+
 def test_fast_paths_taken_on_synth_payloads(monkeypatch):
     # valid synth payloads never reach the exact parser
     def boom(*a, **k):
@@ -216,10 +485,14 @@ def test_fast_paths_taken_on_synth_payloads(monkeypatch):
 
     monkeypatch.setattr(csv_parser, "parse_csv", boom)
     monkeypatch.setattr(xml_parser, "parse_xml", boom)
+    monkeypatch.setattr(toml_parser, "parse_toml", boom)
+    monkeypatch.setattr(yaml_parser, "parse_yaml", boom)
     rng = random.Random(7)
     for _ in range(200):
         check_csv(_valid_payload("csv", rng))
         check_xml(_valid_payload("xml", rng))
+        check_toml(_valid_payload("toml", rng))
+        check_yaml(_valid_payload("yaml", rng))
 
 
 # -- validate_payloads: round-trip mode steps aside -------------------------
@@ -231,6 +504,10 @@ _RT_SPANS = [
     ("xml", '<r a="1&amp;2"><b/><b>t</b>  </r>'),
     ("xml", "<a>x<!--c-->y</a>"),
     ("xml", _INVALID_MENU["xml"][0][0]),
+    ("toml", 'a = 1\nb = [1, "x"]\nc = {d = true}'),
+    ("toml", _INVALID_MENU["toml"][0][0]),
+    ("yaml", "a: 1\nb:\n  - x\n  - 2"),
+    ("yaml", _INVALID_MENU["yaml"][0][0]),
 ]
 
 
@@ -261,8 +538,8 @@ def test_round_trip_mode_uses_exact_parsers(monkeypatch, tmp_path):
     def boom(*a, **k):
         raise AssertionError("fast path used in round-trip mode")
 
-    monkeypatch.setitem(S._CHECKERS, "csv", boom)
-    monkeypatch.setitem(S._CHECKERS, "xml", boom)
+    for kind in ("csv", "toml", "yaml", "xml"):
+        monkeypatch.setitem(S._CHECKERS, kind, boom)
     kinds = np.array([k for k, _ in _RT_SPANS], dtype=object)
     texts = np.array([t for _, t in _RT_SPANS], dtype=object)
     got = [
@@ -297,3 +574,37 @@ def test_span_validator_fast_and_exact_walks_identical(monkeypatch, tmp_path):
     assert fast[1].equals(exact[1])
     checks = set(fast[1]["check_id"].to_pylist())
     assert fast[1].num_rows > 0 and "InvalidToken" in checks
+
+
+def test_grouped_walk_keeps_index_order(monkeypatch):
+    # kinds interleaved, planted errors among valid payloads, and idxs in
+    # an order that is neither sorted nor grouped: the rows come back in
+    # idxs order, identical to the exact walk and to a one-by-one walk
+    import zparse_ray.stages.spancheck as S
+
+    rng = random.Random(11)
+    spans = []
+    for _ in range(8):
+        for kind in ("yaml", "json", "toml", "csv", "xml", "jsonc"):
+            spans.append((kind, _valid_payload(kind, rng)))
+            spans.append((kind, rng.choice(_INVALID_MENU[kind])[0]))
+    rng.shuffle(spans)
+    kinds = np.array([k for k, _ in spans], dtype=object)
+    texts = np.array([t for _, t in spans], dtype=object)
+    idxs = np.array(rng.sample(range(len(spans)), len(spans) - 5))
+
+    def row(i):
+        try:
+            S._PARSERS[kinds[i]](texts[i])
+        except ParseError as e:
+            return (i, e.check_id, e.message, e.line, e.col)
+        except RecursionError:
+            return (i, "MaxDepthExceeded", "recursion limit", 0, 0)
+        return None
+
+    one_by_one = [r for r in map(row, idxs) if r is not None]
+    fast = S.validate_payloads(kinds, texts, idxs, False)
+    monkeypatch.setattr(S, "_CHECKERS", S._PARSERS)
+    exact = S.validate_payloads(kinds, texts, idxs, False)
+    assert fast == exact == one_by_one
+    assert len(fast) >= 30 and {k for k, _ in spans} == set(kinds[[r[0] for r in fast]])

@@ -30,6 +30,13 @@ Deliberate divergence (documented): the reference's single-line basic
 string treats ``'`` as the escape introducer (lexer/toml.rs:180-183) —
 an obvious typo untested by its suite; we use ``\\`` (standard TOML,
 and what the reference's multiline strings use).
+
+Accept path: ``check_toml`` is the recognizer-only form that validation
+without round-trip uses. It accepts, with a few regex passes and no DOM,
+flat ``bare = value`` lines whose values are escape-free basic strings,
+decimal ints of at most 18 digits, plain decimals, bools, and
+single-line arrays / inline tables of those with distinct keys; any
+other text runs ``parse_toml``, so errors are always the parser's.
 """
 
 from __future__ import annotations
@@ -467,10 +474,11 @@ class _TomlParser:
                 raise self.err(INVALID_KEY, "invalid table header", t[2])
 
     def key_from(self, t) -> str:
+        # only words and strings are keys: ``true``/``false`` lex as
+        # bools and ``1``/``-1`` as numbers, so ``true = 1`` and
+        # ``1 = 2`` are InvalidKey (check_toml relies on this)
         if t[0] in (BAREKEY, STRING):
             return t[1]
-        if t[0] == BOOL:  # bare keys 'true'/'false' lex as bools; keys allow them?
-            raise self.err(INVALID_KEY, "invalid key", t[2])
         raise self.err(INVALID_KEY, "invalid key", t[2])
 
     def parse_key_path(self, first) -> list[str]:
@@ -665,10 +673,85 @@ class _TomlParser:
         cur[last] = value
 
 
+_DEFAULT_CONFIG = TomlConfig()
+
+
+def _check_size(text: str, cfg: TomlConfig) -> None:
+    if cfg.max_size > 0 and len(text.encode("utf-8", "surrogatepass")) > cfg.max_size:
+        raise ParseError(MAX_SIZE_EXCEEDED, f"maximum size exceeded: {cfg.max_size}", 0, 1, 1)
+
+
 def parse_toml(text: str, config: TomlConfig | None = None) -> dict:
     """Parse a TOML document to an Object (dict); root is always an
     Object (toml/parser.rs:124-128)."""
-    cfg = config or TomlConfig()
-    if cfg.max_size > 0 and len(text.encode("utf-8", "surrogatepass")) > cfg.max_size:
-        raise ParseError(MAX_SIZE_EXCEEDED, f"maximum size exceeded: {cfg.max_size}", 0, 1, 1)
+    cfg = config or _DEFAULT_CONFIG
+    _check_size(text, cfg)
     return _TomlParser(text, cfg).parse()
+
+
+# -- accept-only recognizer ----------------------------------------------------
+# check_toml rewrites the text in C-speed regex passes: every scalar
+# becomes the placeholder \x00, each round collapses the innermost
+# single-line arrays and inline tables of placeholders to one
+# placeholder, and what is left must be ``key = \x00`` lines. Any
+# character outside the subset (an unpaired quote, '#', "'", '.', '\r',
+# a digit in key position, ...) survives the rewrite and fails the last
+# match.
+_PH = "\x00"
+_KEY = r"[A-Za-z_][A-Za-z0-9_-]*"  # a bare key the lexer reads as one word
+_W = r"[ \t]*"
+_SCALAR = re.compile(
+    r'(?=[-"0-9tf])(?:"[^"\\\n]*"(?!")'  # escape-free basic string (sstr)
+    # a number or bool that is a whole lexer token: the lookarounds keep
+    # it out of bare keys (k0, a-1, true_x) and of longer number runs
+    # (1e5, 1_000, 1979-05-27, 19 digits)
+    r"|(?<![A-Za-z0-9_.+-])(?:-?[0-9]+\.[0-9]+|-?[0-9]{1,18}|true|false)"
+    r"(?![A-Za-z0-9_.:+-]))"
+)
+_ENTRY = rf"{_W}{_KEY}{_W}={_W}\x00{_W}"
+# an inline table matches only if no key repeats: the lookahead steps
+# over whole ``key = \x00,`` entries looking for a later entry with the
+# same key
+_NO_DUP = rf"(?!(?:{_ENTRY},)*?{_W}({_KEY}){_W}={_W}\x00{_W},(?:{_ENTRY},)*?{_W}\1{_W}=)"
+_INNER = re.compile(
+    rf"\[{_W}(?:\x00{_W}(?:,{_W}|(?=\])))*\]"
+    rf"|\{{{_NO_DUP}(?:{_ENTRY}(?:,{_W}|(?=\}})))*{_W}\}}"
+)
+_LINE = rf"{_W}(?:{_KEY}{_W}={_W}\x00{_W})?"
+_DOC = re.compile(rf"(?:{_LINE}\n)*{_LINE}")
+_KEYS = re.compile(_KEY)
+_MAX_NEST = 8  # arrays / inline tables nested deeper run the exact parser
+
+
+def check_toml(text: str, config: TomlConfig | None = None) -> None:
+    """Recognizer-only form of ``parse_toml``: raise exactly what it
+    raises, build no document.
+
+    Accepts without the exact parser only this subset: ``bare = value``
+    lines (bare keys start with a letter or ``_``), where a value is an
+    escape-free basic string, a decimal int of at most 18 digits, a plain
+    decimal ``-?d+.d+``, ``true``/``false``, or a single-line array or
+    inline table of those nested at most ``_MAX_NEST`` (and
+    ``max_depth``) deep. Keys are distinct at the top level and inside
+    each inline table; trailing commas are allowed, as the exact parser
+    allows them. Everything else — numeric or bool keys, headers, dotted
+    keys, comments, other string forms, datetimes, ``_``, ``+``,
+    exponents, inf/nan, multi-line values, ``\\r``, a repeated key, text
+    holding ``\\x00`` — runs ``parse_toml``.
+    """
+    cfg = config or _DEFAULT_CONFIG
+    _check_size(text, cfg)
+    if _PH not in text:
+        s = _SCALAR.sub(_PH, text)
+        limit = _MAX_NEST if cfg.max_depth <= 0 else min(_MAX_NEST, cfg.max_depth)
+        for _ in range(limit):
+            if "[" not in s and "{" not in s:
+                break
+            s, n = _INNER.subn(_PH, s)
+            if not n:
+                break
+        if _DOC.fullmatch(s):
+            keys = _KEYS.findall(s)
+            if len(set(keys)) == len(keys):
+                return
+    parse_toml(text, cfg)

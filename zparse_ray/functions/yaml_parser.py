@@ -29,6 +29,13 @@ Documented divergences from reference quirks its suite never tests:
   that trailing content — parse() never checks EOF);
 - plain scalars may contain ``:``/``,`` after the key separator
   (``url: http://x`` works).
+
+Accept path: ``check_yaml`` is the recognizer-only form that validation
+without round-trip uses. It accepts, with one regex pass and a small
+indent stack and no DOM, space-indented ``key: scalar`` / ``key:`` /
+``- scalar`` lines (root at indent 0, bare keys, plain or escape-free
+double-quoted scalars) that keep the parser's block rules; any other
+text runs ``parse_yaml``, so errors are always the parser's.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ DEFAULT_MAX_DEPTH = 128
 @dataclass(frozen=True)
 class YamlConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
+
+
+_DEFAULT_CONFIG = YamlConfig()
 
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -352,8 +362,9 @@ class _YamlParser:
 
     def parse_block(self, indent: int, ancestors: tuple[int, ...]):
         _, content, lineno = self.lines[self.i]
-        if content.startswith("-") and (len(content) == 1 or content[1] in " \t" or True):
-            # any '-'-prefixed line is a sequence item (lexer/yaml.rs lex_line)
+        if content.startswith("-"):
+            # any '-'-prefixed line is a sequence item (lexer/yaml.rs
+            # lex_line), '-x' included
             return self.parse_sequence(indent, ancestors)
         kv = _split_key_value(content)
         if kv is not None:
@@ -439,7 +450,7 @@ class _YamlParser:
 def parse_yaml(text: str, config: YamlConfig | None = None):
     """Parse a YAML document to a Value; empty document -> Null
     (yaml/parser.rs:64-69)."""
-    cfg = config or YamlConfig()
+    cfg = config or _DEFAULT_CONFIG
     lines: list[tuple[int, str, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw
@@ -466,3 +477,72 @@ def parse_yaml(text: str, config: YamlConfig | None = None):
             INVALID_TOKEN, "invalid indentation", 0, p.lines[p.i][2], 1
         )
     return v
+
+
+# -- accept-only recognizer ----------------------------------------------------
+# A plain scalar: words of anything but whitespace, quotes, '#', ':',
+# brackets and backslashes, separated by runs of spaces; it may start
+# with one '-' ('-5') but is never '-' or '- x' (nested items).
+_PLAIN_CH = r"""[^\s"'#:\[\]{}\\]"""
+_PLAIN = rf"""-?[^\s"'#:\[\]{{}}\\-]{_PLAIN_CH}*(?: +{_PLAIN_CH}+)*"""
+_VALUE = rf"""(?:"[^"\\\n\r\t#']*"|{_PLAIN})"""  # or escape-free double-quoted
+_KEY = r"[A-Za-z_][A-Za-z0-9_-]*"
+# one subset line: (indent, key, " value" after the key, "- value" item);
+# all four are empty on a blank line, and a line outside the subset has
+# no match at all
+_LINE = re.compile(rf"^( *)(?:({_KEY}):( +{_VALUE})?|(- +{_VALUE}))? *$", re.M)
+_MAX_LEVELS = 16  # blocks nested deeper run the exact parser
+
+
+def _blocks_ok(lines: list[tuple[str, str, str, str]], max_depth: int) -> bool:
+    """The exact parser's block rules over subset lines: the root sits at
+    indent 0; a line deeper than its level opens a child only after a
+    bare ``key:``; a dedent lands on an enclosing level; a level holds
+    only ``-`` items or only keys; keys are distinct per mapping."""
+    limit = _MAX_LEVELS if max_depth <= 0 else min(max_depth, _MAX_LEVELS)
+    outer: list[tuple[int, bool, set]] = []  # enclosing (indent, is_seq, keys)
+    ind, is_seq, keys = -1, False, set()  # the current level; -1: none yet
+    can_open = True
+    for sp, key, val, item in lines:
+        if not (key or item):
+            continue
+        n = len(sp)
+        if n > ind:
+            if not can_open or (ind < 0 and n) or len(outer) == limit:
+                return False
+            outer.append((ind, is_seq, keys))
+            ind, is_seq, keys = n, not key, set()
+        elif n < ind:
+            while n < ind:
+                ind, is_seq, keys = outer.pop()
+            if n != ind:
+                return False
+        if is_seq != (not key):
+            return False
+        if key:
+            if key in keys:
+                return False
+            keys.add(key)
+        can_open = bool(key) and not val
+    return True
+
+
+def check_yaml(text: str, config: YamlConfig | None = None) -> None:
+    """Recognizer-only form of ``parse_yaml``: raise exactly what it
+    raises, build no value.
+
+    Accepts without the exact parser only this subset: space-indented
+    ``key: scalar``, ``key:`` and ``- scalar`` lines with the root at
+    indent 0, bare keys, and scalars that are plain (no ``:``, quotes,
+    brackets or ``#``) or double-quoted without escapes; the block rules
+    are checked by ``_blocks_ok``. Everything else — tabs, ``\\r``,
+    comments, flow collections, ``'`` quoting, escapes, ``- k: v`` and
+    bare ``-`` items, ``-x`` items, a scalar document, nesting past
+    ``_MAX_LEVELS`` or ``max_depth`` — runs ``parse_yaml``.
+    """
+    cfg = config or _DEFAULT_CONFIG
+    lines = _LINE.findall(text)
+    # one match per line: every line is in the subset
+    if len(lines) == text.count("\n") + 1 and _blocks_ok(lines, cfg.max_depth):
+        return
+    parse_yaml(text, cfg)

@@ -14,12 +14,16 @@ Per batch (zero-copy Arrow):
    asset set (RefIntegrity), unknown kinds — all numpy/pyarrow kernels;
 2. the grammar walk (reference semantics: JSON/JSONC/CSV/TOML/YAML/XML
    parsers from functions/) runs ONLY on spans whose kind is a grammar
-   kind and which survived the prechecks. Where a C parser can decide
-   "valid" it goes first: JSON's C scanner inside ``parse_json``, and,
-   when ``round_trip`` is off, the recognizer-only ``check_csv``
-   (``csv.reader``) and ``check_xml`` (expat). A fast path only ever
-   accepts; a reject or guard miss runs the exact parser, so check_ids
-   and line/col are always the reference's;
+   kind and which survived the prechecks, grouped by kind so one parser
+   stays hot. Where a cheaper check can decide "valid" it goes first:
+   JSON's C scanner inside ``parse_json``, and, when ``round_trip`` is
+   off, the recognizer-only ``check_csv`` (``csv.reader``),
+   ``check_xml`` (expat), ``check_toml`` (regex rewrite of flat
+   ``key = value`` lines with single-line arrays and inline tables) and
+   ``check_yaml`` (regex over block lines of plain or escape-free
+   double-quoted scalars, plus a small indent stack). A fast path only
+   ever accepts; a reject or subset miss runs the exact parser, so
+   check_ids and line/col are always the reference's;
 3. optional round-trip check (D2): parse -> serialize -> reparse ->
    deep-compare (the reference's property-test invariant,
    tests/property_tests.rs:121-156, applied per span);
@@ -62,9 +66,9 @@ from ..functions.csv_parser import check_csv, parse_csv
 from ..functions.errors import ParseError
 from ..functions.json_parser import parse_json, parse_jsonc
 from ..functions.sketches import HyperLogLog, TDigest, hash64
-from ..functions.toml_parser import parse_toml
+from ..functions.toml_parser import check_toml, parse_toml
 from ..functions.xml_parser import check_xml, parse_xml
-from ..functions.yaml_parser import parse_yaml
+from ..functions.yaml_parser import check_yaml, parse_yaml
 from ..schema import GRAMMAR_KINDS, MEDIA_KINDS, SPAN_KINDS, VIOLATIONS_SCHEMA
 from ..value import values_equal
 
@@ -84,9 +88,16 @@ _PARSERS = {
     "xml": parse_xml,
 }
 
-# round_trip off: only the verdict matters, so CSV and XML take their
-# recognizer-only checks (C accept paths); the rest parse as usual
-_CHECKERS = {**_PARSERS, "csv": check_csv, "xml": check_xml}
+# round_trip off: only the verdict matters, so CSV, TOML, YAML and XML
+# take their recognizer-only checks (csv.reader, regex subsets, expat),
+# which may only accept; JSON and JSONC parse as usual
+_CHECKERS = {
+    **_PARSERS,
+    "csv": check_csv,
+    "toml": check_toml,
+    "yaml": check_yaml,
+    "xml": check_xml,
+}
 
 _SERIALIZERS = {
     "json": serialize_json,
@@ -141,25 +152,33 @@ def validate_payloads(
     json/parser.rs:14-23, csv/parser.rs:8-11, exposed per job per
     SURVEY §1.2).
 
-    Without ``round_trip`` the walk takes ``_CHECKERS``. A C fast path
+    Without ``round_trip`` the walk takes ``_CHECKERS``. A fast path
     there only ever says "valid": every reject and every guard miss runs
     the exact parser, so check_id, message and line/col are always the
     exact parser's. With ``round_trip`` the DOM is needed, so the walk
-    takes ``_PARSERS``."""
+    takes ``_PARSERS``. The spans are walked grouped by kind; the rows
+    come back in ``idxs`` order either way."""
     cfgs = parser_configs or {}
     table = _PARSERS if round_trip else _CHECKERS
     out = []
-    for i in idxs:
+    # walk the spans grouped by kind, so one parser stays hot; each span
+    # yields at most one row, led by its position p in idxs, and the rows
+    # go back to idxs order at the end (a fixed-width str copy sorts
+    # twice as fast as the object array, and plain ints index the object
+    # arrays faster than numpy scalars)
+    idxs = np.asarray(idxs, dtype=np.intp)
+    order = np.argsort(kinds[idxs].astype(str), kind="stable")
+    for p, i in zip(order.tolist(), idxs[order].tolist()):
         kind = kinds[i]
         parse = table[kind]
         cfg = cfgs.get(kind)
         try:
             value = parse(texts[i], cfg) if cfg is not None else parse(texts[i])
         except ParseError as e:
-            out.append((i, e.check_id, e.message, e.line, e.col))
+            out.append((p, i, e.check_id, e.message, e.line, e.col))
             continue
         except RecursionError:
-            out.append((i, E.MAX_DEPTH_EXCEEDED, "recursion limit", 0, 0))
+            out.append((p, i, E.MAX_DEPTH_EXCEEDED, "recursion limit", 0, 0))
             continue
         if round_trip:
             if kind == "xml":
@@ -172,20 +191,21 @@ def validate_payloads(
                 try:
                     back = parse(serialize_xml(value))
                 except ParseError as e:
-                    out.append((i, E.ROUND_TRIP, f"reparse failed: {e.check_id}", 0, 0))
+                    out.append((p, i, E.ROUND_TRIP, f"reparse failed: {e.check_id}", 0, 0))
                     continue
                 if not values_equal(xml_to_value(back), xml_to_value(value)):
-                    out.append((i, E.ROUND_TRIP, "value mismatch after round-trip", 0, 0))
+                    out.append((p, i, E.ROUND_TRIP, "value mismatch after round-trip", 0, 0))
                 continue
             ser = _SERIALIZERS[kind]
             try:
                 back = parse(ser(value))
             except ParseError as e:
-                out.append((i, E.ROUND_TRIP, f"reparse failed: {e.check_id}", 0, 0))
+                out.append((p, i, E.ROUND_TRIP, f"reparse failed: {e.check_id}", 0, 0))
                 continue
             if not values_equal(back, value):
-                out.append((i, E.ROUND_TRIP, "value mismatch after round-trip", 0, 0))
-    return out
+                out.append((p, i, E.ROUND_TRIP, "value mismatch after round-trip", 0, 0))
+    out.sort()
+    return [row[1:] for row in out]
 
 
 def build_parser_configs(
