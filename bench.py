@@ -123,6 +123,8 @@ def _headline(sf_dir: str, n_cpus: int) -> dict:
         "host_cpus": _host_cpus(),
         # run_validation's phase times (s) for the chosen window
         "timings": timings,
+        # the driver's own CPU time over phase 1 of that window (s)
+        "phase1_driver_cpu_s": timings.get("phase1_driver_cpu_s"),
         # hypervisor steal fraction DURING the chosen validate window —
         # runs on this shared VM are contaminated when neighbors spike;
         # the window was retried until clean (all attempts listed)

@@ -1235,3 +1235,133 @@ def test_kind_hist_and_precheck_masks_per_partition():
         )
         assert p["kind_hist"] == json.dumps(dict(want), sort_keys=True)
         assert "UnknownKind" in p["checks_failed"].split(",")
+
+
+def test_toml_digit_run_past_int_limit_is_a_violation(ray_session, tmp_path):
+    # int() raises ValueError on a run past Python's 4,300-digit limit;
+    # such a TOML span must give InvalidNumber, as in the oracle, and not
+    # fail its whole phase-1 task
+    import pyarrow as pa
+
+    span_t = pa.struct(
+        [("kind", pa.string()), ("text", pa.string()),
+         ("media_ref", pa.string()), ("offset", pa.int32())]
+    )
+    schema = pa.schema(
+        [("partition_id", pa.int32()), ("doc_id", pa.string()), ("spans", pa.list_(span_t))]
+    )
+    rows = [
+        {"partition_id": 0, "doc_id": "d1", "spans": [
+            {"kind": "toml", "text": "a = " + "1" * 5000, "media_ref": "", "offset": 0},
+            {"kind": "toml", "text": "b = 1", "media_ref": "", "offset": 9},
+        ]},
+        {"partition_id": 0, "doc_id": "d2", "spans": [
+            {"kind": "toml", "text": "x = 1\nc = -" + "2" * 4400, "media_ref": "", "offset": 0},
+        ]},
+    ]
+    d = str(tmp_path / "long_digits")
+    os.makedirs(os.path.join(d, "spans"))
+    pq.write_table(pa.Table.from_pylist(rows, schema=schema),
+                   os.path.join(d, "spans", "part-00000.parquet"))
+
+    out = str(tmp_path / "long_digits_out")
+    run_validation(d, out)
+    p_viols, p_verdicts = read_pipeline_outputs(out)
+    assert (p_viols, p_verdicts) == oracle_validate(d)
+    assert [(v["doc_id"], v["span_index"], v["check_id"], v["line"], v["col"]) for v in p_viols] == [
+        ("d1", 0, "InvalidNumber", 1, 5),
+        ("d2", 0, "InvalidNumber", 2, 5),
+    ]
+
+
+def test_partition_failing_its_footer_check_is_never_committed(ray_session, tmp_path, monkeypatch):
+    # one partition's doc count disagrees with its footer: the other one
+    # is committed alone, and a resume once the footer agrees equals the oracle
+    import types
+
+    from zparse_ray.state.checkpoint import Manifest
+
+    cfg = SynthConfig(n_docs=600, n_partitions=2, seed=47)
+    d = ensure_dataset(cfg)
+    bad = os.path.join(d, "spans", "part-00001.parquet")
+    real_pf, real_commit = pq.ParquetFile, Manifest.commit
+
+    def lying_footer(path, *a, **k):
+        f = real_pf(path, *a, **k)
+        if path != bad:
+            return f
+        return types.SimpleNamespace(metadata=types.SimpleNamespace(num_rows=f.metadata.num_rows + 1))
+
+    commits = []
+
+    def spy_commit(self, pid, info):
+        commits.append(pid)
+        real_commit(self, pid, info)
+
+    monkeypatch.setattr(pq, "ParquetFile", lying_footer)
+    monkeypatch.setattr(Manifest, "commit", spy_commit)
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="part-00001.parquet"):
+        run_validation(d, out)
+    assert commits == [0]
+    m = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(m["partitions"]) == {"0"}
+    assert os.listdir(os.path.join(out, "partials")) == ["part-00000.parquet"]
+
+    monkeypatch.undo()
+    run_validation(d, out)
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+
+
+def test_remote_wrappers_are_built_once_per_process(ray_session, tmp_path, monkeypatch):
+    # run_validation's ray.remote wrappers are built on the first call only
+    import ray
+
+    from zparse_ray.pipelines import validate as V
+
+    built = []
+    real_remote = ray.remote
+
+    def counting_remote(*a, **k):
+        if a and getattr(a[0], "__module__", "").startswith("zparse_ray."):
+            built.append(a[0].__name__)
+        return real_remote(*a, **k)
+
+    monkeypatch.setattr(ray, "remote", counting_remote)
+    V._remote.cache_clear()
+    d = ensure_dataset(SynthConfig(n_docs=900, n_partitions=3, seed=43))
+    want = oracle_validate(d)
+    for i in range(2):
+        run_validation(d, str(tmp_path / f"run{i}"), dup_driver_threshold=0)
+        assert read_pipeline_outputs(str(tmp_path / f"run{i}")) == want
+    assert sorted(built) == ["_meta_split", "_write_dups", "validate_file"]
+
+
+_NEW_SESSION_RUNNER = """
+import sys
+sys.path.insert(0, {repo!r})
+import ray
+from zparse_ray.oracle import oracle_validate, read_pipeline_outputs
+from zparse_ray.pipelines import validate as V
+want = oracle_validate({spans!r})
+for i in range(2):
+    ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+    V.run_validation({spans!r}, {out!r} + str(i), dup_driver_threshold=0)
+    ray.shutdown()
+    assert read_pipeline_outputs({out!r} + str(i)) == want, i
+print(V._remote.cache_info().currsize)
+"""
+
+
+def test_remote_wrappers_work_in_a_new_ray_session(tmp_path):
+    # the cached wrappers still run after ray.shutdown()/ray.init(); a
+    # subprocess owns both sessions, so the shared test session is untouched
+    import subprocess
+    import sys
+
+    d = ensure_dataset(SynthConfig(n_docs=600, n_partitions=2, seed=43))
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = _NEW_SESSION_RUNNER.format(repo=repo, spans=d, out=str(tmp_path / "run"))
+    r = subprocess.run([sys.executable, "-c", script], cwd=repo, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stdout.strip().splitlines()[-1] == "3"

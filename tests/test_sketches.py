@@ -144,3 +144,81 @@ def test_grouped_hll_partials_merge_close_to_exact():
     exact = pd.DataFrame({"g": groups, "v": vals}).groupby("g")["v"].nunique()
     for g in ("a", "b", "c"):
         assert abs(est[g] - exact[g]) / exact[g] <= 0.02, (g, est[g], exact[g])
+
+
+def _loop_compress(self) -> None:
+    """Reference: the greedy merge over numpy scalars, one value at a time."""
+    if len(self.means) == 0:
+        return
+    order = np.argsort(self.means, kind="stable")
+    means, weights = self.means[order], self.weights[order]
+    total = weights.sum()
+    limit = total / self.compression
+    new_m, new_w = [], []
+    cur_m, cur_w = means[0], weights[0]
+    for m, w in zip(means[1:], weights[1:]):
+        if cur_w + w <= limit:
+            cur_m = (cur_m * cur_w + m * w) / (cur_w + w)
+            cur_w += w
+        else:
+            new_m.append(cur_m)
+            new_w.append(cur_w)
+            cur_m, cur_w = m, w
+    new_m.append(cur_m)
+    new_w.append(cur_w)
+    self.means = np.array(new_m)
+    self.weights = np.array(new_w)
+
+
+def _tdigest_cases():
+    rng = np.random.default_rng(7)
+    cases = {}
+    for n in (1, 199, 200, 201, 1_600, 1_601, 7_946, 100_000):
+        cases[f"normal-{n}"] = [rng.normal(50, 20, n)]
+        cases[f"lengths-{n}"] = [rng.integers(0, 4_000, n).astype(float)]
+    cases["ties-few-values"] = [rng.integers(0, 5, 5_000).astype(float)]
+    cases["ties-one-value"] = [np.full(3_333, 7.0)]
+    cases["non-finite"] = [
+        np.concatenate([rng.exponential(3, 2_500), [np.nan, np.inf, -np.inf] * 40])
+    ]
+    cases["huge-magnitudes"] = [rng.choice([-1.0, 1.0], 2_000) * 10.0 ** rng.uniform(290, 308, 2_000)]
+    cases["two-adds"] = [rng.normal(0, 1, 2_000), rng.normal(3, 1, 900)]
+    return cases
+
+
+def _digest_bytes(adds) -> bytes:
+    d = TDigest()
+    for v in adds:
+        d.add(v)
+    return d.to_bytes()
+
+
+def _merge_chain_bytes() -> list[bytes]:
+    rng = np.random.default_rng(11)
+    parts = []
+    for n in (1, 150, 1_250, 1_601, 7_946):
+        d = TDigest()
+        d.add(rng.integers(0, 900, n).astype(float))
+        parts.append(d)
+    out, acc = [], TDigest()
+    for d in parts:
+        acc = acc.merge(d)
+        out.append(acc.to_bytes())
+    whole = parts[0]
+    for d in reversed(parts[1:]):
+        whole = d.merge(whole)
+    out.append(whole.to_bytes())
+    return out
+
+
+@np.errstate(over="ignore")  # the huge-magnitude case overflows to inf on both sides
+def test_tdigest_bytes_equal_the_scalar_loop(monkeypatch):
+    cases = _tdigest_cases()
+    new = {name: _digest_bytes(adds) for name, adds in cases.items()}
+    new_chain = _merge_chain_bytes()
+    monkeypatch.setattr(TDigest, "_compress", _loop_compress)
+    ref = {name: _digest_bytes(adds) for name, adds in cases.items()}
+    ref_chain = _merge_chain_bytes()
+    for name in cases:
+        assert new[name] == ref[name], name
+    assert new_chain == ref_chain

@@ -186,3 +186,27 @@ def test_bare_key_with_dashes():
 def test_empty_doc():
     assert parse_toml("") == {}
     assert parse_toml("# only comments\n") == {}
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [
+        ("a = " + "1" * 5000, (1, 5)),
+        ("a = -" + "1" * 5000, (1, 5)),
+        ("x = 1\nb = [2, " + "3" * 5000 + "]\n", (2, 9)),
+        ("a = " + "1" * 20, (1, 5)),
+    ],
+)
+def test_digit_runs_past_i64_are_invalid_number(text, pos):
+    # a run longer than Python's 4,300-digit int() limit must give the
+    # grammar error, not a ValueError, on both the check and the parser
+    from zparse_ray.functions.toml_parser import check_toml
+
+    for fn in (check_toml, parse_toml):
+        with pytest.raises(ParseError) as ei:
+            fn(text)
+        assert (ei.value.check_id, ei.value.line, ei.value.col) == ("InvalidNumber", *pos), fn
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    assert parse_toml("a = " + "0" * 5000 + "42\n") == {"a": 42.0}

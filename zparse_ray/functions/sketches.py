@@ -88,11 +88,17 @@ class TDigest:
         means, weights = self.means[order], self.weights[order]
         total = weights.sum()
         # target cluster count ~= compression; scale function k0 (uniform in q)
-        limit = total / self.compression
+        limit = float(total / self.compression)
+        if (weights == 1.0).all():
+            self.means, self.weights = _unit_clusters(means, max(1, int(limit)))
+            return
+        # greedy merge over Python floats (the same IEEE ops as numpy
+        # scalars, at a fraction of the per-element cost)
+        ms, ws = means.tolist(), weights.tolist()
         new_m: list[float] = []
         new_w: list[float] = []
-        cur_m, cur_w = means[0], weights[0]
-        for m, w in zip(means[1:], weights[1:]):
+        cur_m, cur_w = ms[0], ws[0]
+        for m, w in zip(ms[1:], ws[1:]):
             if cur_w + w <= limit:
                 cur_m = (cur_m * cur_w + m * w) / (cur_w + w)
                 cur_w += w
@@ -137,6 +143,28 @@ class TDigest:
         means = np.frombuffer(b, dtype=np.float64, count=n, offset=off)
         weights = np.frombuffer(b, dtype=np.float64, count=n, offset=off + 8 * n)
         return cls(comp, means.copy(), weights.copy())
+
+
+def _unit_clusters(means: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy merge of ``TDigest._compress`` for sorted ``means`` that
+    all weigh 1: each cluster is a run of ``k`` values (the last one may be
+    shorter), and its mean is the loop's running mean ``(cur*j + x)/(j+1)``
+    computed column by column over every cluster at once, so the bytes
+    are the loop's."""
+    n_full, r = divmod(len(means), k)
+    blocks = [means[: n_full * k].reshape(n_full, k)]
+    if r:
+        blocks.append(means[n_full * k :].reshape(1, r))
+    out_m = []
+    for b in blocks:
+        cur = b[:, 0]
+        for j in range(1, b.shape[1]):
+            cur = (cur * j + b[:, j]) / (j + 1)
+        out_m.append(cur)
+    out_w = np.full(n_full + (r > 0), float(k))
+    if r:
+        out_w[-1] = r
+    return np.concatenate(out_m), out_w
 
 
 # ---------------------------------------------------------------------------

@@ -336,10 +336,7 @@ class _TomlLexer:
         # cannot be datetime-like (no T/:/Z/dashes) and needs no
         # underscore strip or sign handling — one C-speed isdigit gate
         if raw.isdigit():
-            val = int(raw)
-            if val >= 2**63:
-                raise self.err(INVALID_NUMBER, "invalid number", start)
-            return (NUMBER, float(val), start)
+            return (NUMBER, float(self.decimal_i64(raw, start)), start)
         if _is_datetime_like(raw):
             return (DATETIME, raw, start)
         norm = raw.replace("_", "")
@@ -358,10 +355,21 @@ class _TomlLexer:
         # its charset run stops at 'x'/'o'/'b' — so plain decimal here.
         if not digits.isdigit():
             raise self.err(INVALID_NUMBER, "invalid number", start)
+        return (NUMBER, float(sign * self.decimal_i64(digits, start)), start)
+
+    def decimal_i64(self, digits: str, start: int) -> int:
+        """The value of a decimal digit run below 2**63, else
+        InvalidNumber. A run of more than 19 significant digits is at
+        least 10**19 and is rejected before ``int()``, which raises
+        ValueError past Python's 4,300-digit limit."""
+        if len(digits) > 19:
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > 19:
+                raise self.err(INVALID_NUMBER, "invalid number", start)
         val = int(digits)
         if val >= 2**63:
             raise self.err(INVALID_NUMBER, "invalid number", start)
-        return (NUMBER, float(sign * val), start)
+        return val
 
 
 class _TomlParser:

@@ -6,7 +6,8 @@ plain Ray tasks only, no Ray Data.
          stats partials; violations/docmeta written by the task
          (resumable sink)
       -> the driver takes results as tasks finish (ray.wait), checks
-         each partition's doc count and commits it to the manifest
+         each partition's doc count, writes its partials file and
+         commits it to the manifest (a failed partition never is)
     phase 2 (cheap, over compact intermediates; recomputed every call):
       -> doc_id uniqueness: one reducer (_write_dups) over docmeta, run
          in the driver or, past dup_driver_threshold rows, per bucket
@@ -41,10 +42,21 @@ from ..functions import errors as E
 from ..functions.sketches import HyperLogLog, TDigest, hash64
 from ..schema import VERDICTS_SCHEMA, VIOLATIONS_SCHEMA
 from ..stages.joins import ROWS_PER_BUCKET, _bucket_of, _warn_if_hot
-from ..stages.spancheck import PARTIALS_SCHEMA
+from ..stages.spancheck import PARTIALS_SCHEMA, read_parquet_file
 from ..state.checkpoint import Manifest, clean_stale_outputs
 
 _PART_RE = re.compile(r"part-(\d+)\.parquet$")
+
+
+@functools.cache
+def _remote(fn):
+    """``ray.remote(fn)``, built once per process. A remote function
+    pickles and exports itself once per Ray session (again after a
+    ``ray.shutdown()``/``ray.init()``), so building a new one on every
+    call only repeats that work."""
+    import ray
+
+    return ray.remote(fn)
 
 
 def _dup_violation_rows(t: pa.Table) -> pa.Table:
@@ -90,7 +102,7 @@ def _meta_split(path: str, n: int) -> pa.Table | list[pa.Table]:
     ``n`` tables by ``_bucket_of(doc_hash, n)``; with ``n == 1``, the
     table itself. Read alone, a file from before docmeta carried
     ``doc_hash`` gets ``hash64(doc_id)``, never a null-filled column."""
-    t = pq.read_table(path)
+    t = read_parquet_file(path)
     if "doc_hash" not in t.column_names:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         t = t.append_column("doc_hash", pa.array(hash64(ids).astype(np.int64)))
@@ -214,6 +226,7 @@ def run_validation(
 
     timings["plan"] = round(_time.time() - _t, 3)
     _t = _time.time()
+    cpu0 = _time.thread_time()  # the driver's own CPU in phase 1
     manifest = Manifest(os.path.join(out_dir, "manifest.json"))
     committed = manifest.committed if resume else set()
     todo = [f for f in files if pid_of[f] not in committed]
@@ -236,7 +249,7 @@ def run_validation(
 
         from ..stages.spancheck import DEFAULT_MAX_SPAN_BYTES, validate_file
 
-        task = ray.remote(validate_file)
+        task = _remote(validate_file)
         kw = {
             "assets_ref": assets_ref,
             "out_dir": out_dir,
@@ -259,7 +272,7 @@ def run_validation(
             (ref,), _ = ray.wait(list(in_flight), num_returns=1)
             f = in_flight.pop(ref)
             try:
-                rows = ray.get(ref).to_pylist()
+                rows = ray.get(ref)
             except ray.exceptions.RayError as e:
                 failed[f] = e
                 continue
@@ -278,6 +291,7 @@ def run_validation(
             os.replace(ppath + ".tmp", ppath)
             manifest.commit(pid, {k: part[k] for k in ("n_docs", "n_spans", "n_violations")})
         timings["phase1"] = round(_time.time() - _t, 3)
+        timings["phase1_driver_cpu_s"] = round(_time.thread_time() - cpu0, 3)
         _t = _time.time()
         if failed:
             raise RuntimeError(
@@ -302,11 +316,11 @@ def run_validation(
         # task per docmeta file, then one reducer per bucket, with at
         # least one bucket per CPU and about ROWS_PER_BUCKET rows each
         n_buckets = max(int(ray.cluster_resources().get("CPU", 1)), 1, -(-n_meta // ROWS_PER_BUCKET))
-        split = ray.remote(_meta_split).options(num_returns=n_buckets)
+        split = _remote(_meta_split).options(num_returns=n_buckets)
         maps = [split.remote(f, n_buckets) for f in meta_files]
         if n_buckets == 1:  # num_returns=1 gives a bare ref, not a list of one
             maps = [[m] for m in maps]
-        reduce = ray.remote(_write_dups)
+        reduce = _remote(_write_dups)
         refs = [reduce.remote(os.path.join(vdir, f"dups-{r:05d}.parquet"), *[m[r] for m in maps]) for r in range(n_buckets)]
         # every phase-2a task has ended before anything raises
         ray.wait(refs + [m[0] for m in maps], num_returns=n_buckets + len(maps), fetch_local=False)
@@ -330,7 +344,7 @@ def run_validation(
 
     partial_files = sorted(glob.glob(os.path.join(out_dir, "partials", "part-*.parquet")))
     # the column list drops what an older engine's partials carried
-    partials = pq.read_table(partial_files, columns=PARTIALS_SCHEMA.names).to_pylist() if partial_files else []
+    partials = [r for f in partial_files for r in read_parquet_file(f, PARTIALS_SCHEMA.names).to_pylist()]
     verdict_rows = []
     drift_viols = []
     totals = {"n_docs": 0, "n_spans": 0, "n_violations": 0}

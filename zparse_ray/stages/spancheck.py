@@ -2,8 +2,8 @@
 
 Phase 1 of ``run_validation`` runs ``validate_file`` as plain Ray
 tasks, one per uncommitted input partition file: each task reads its
-own file with ``pq.read_table`` and validates it through
-``validate_task``, which builds one ``SpanValidator`` and calls it on
+own file on its own thread (``read_parquet_file``) and validates it
+through ``validate_task``, which builds one ``SpanValidator`` and calls it on
 zero-copy slices of the table. The broadcast asset key-set is put in
 the object store once by the driver, pre-sorted, and passed as a task
 argument, so Ray resolves it before the task starts.
@@ -39,7 +39,11 @@ Per batch (zero-copy Arrow):
 Scale notes: the grammar walk is the workload's irreducible per-payload
 compute (same as the reference's single-doc parse); throughput comes
 from Ray parallelism. Everything around it is vectorized so the stage
-wall-time is parser-bound, not plumbing-bound.
+wall-time is parser-bound, not plumbing-bound: the file is read without
+Arrow's thread pool (the task already owns its CPU), the walk's texts
+come out of Arrow as one object array, each doc_id is hashed once for
+both the doc HLL and docmeta's ``doc_hash``, and a fresh t-digest of
+unit weights compresses column-wise (``sketches._unit_clusters``).
 """
 
 from __future__ import annotations
@@ -366,7 +370,7 @@ class SpanValidator:
             texts_np = np.empty(n_spans_total, dtype=object)
             texts_np[gram_idx] = text_arr.take(
                 pa.array(gram_idx, pa.int64())
-            ).to_pylist()
+            ).to_numpy(zero_copy_only=False)
             for i, check_id, detail, line, col in validate_payloads(
                 kind_np, texts_np, gram_idx, self.round_trip, self.parser_configs
             ):
@@ -374,6 +378,8 @@ class SpanValidator:
 
         # -- assemble outputs ---------------------------------------------
         doc_np = doc_ids.to_numpy(zero_copy_only=False)
+        # one hash per doc_id: the doc HLL and docmeta's doc_hash share it
+        doc_hashes = hash64(doc_np)
         viol_count_per_row = np.zeros(n_rows, dtype=np.int32)
         if violations:
             violations.sort(key=lambda v: (doc_np[v[1]], span_index_flat[v[0]], v[2]))
@@ -412,7 +418,7 @@ class SpanValidator:
             td_spans = TDigest()
             td_spans.add(np.diff(list_offsets)[rmask].astype(np.float64))
             hll_doc = HyperLogLog()
-            hll_doc.add(doc_np[rmask])
+            hll_doc.add_hashes(doc_hashes[rmask])
             hll_ref = HyperLogLog()
             refs_here = media_np[smask & is_media]
             if len(refs_here):
@@ -438,7 +444,6 @@ class SpanValidator:
         # resumable sink: write this batch's violations + docmeta per pid
         if self.out_dir:
             tag = tag or uuid.uuid4().hex[:12]
-            doc_hashes = hash64(doc_np).astype(np.int64)
             for pid in np.unique(pids):
                 pid = int(pid)
                 pv = viol_table.filter(pc.equal(viol_table["partition_id"], pid))
@@ -450,7 +455,7 @@ class SpanValidator:
                     {
                         "partition_id": pa.array(pids[rmask].astype(np.int32)),
                         "doc_id": pa.array(doc_np[rmask], pa.string()),
-                        "doc_hash": pa.array(doc_hashes[rmask], pa.int64()),
+                        "doc_hash": pa.array(doc_hashes[rmask].astype(np.int64)),
                         "n_spans": pa.array(np.diff(list_offsets)[rmask].astype(np.int32)),
                         "n_violations": pa.array(viol_count_per_row[rmask]),
                     },
@@ -542,12 +547,29 @@ def validate_task(
     )
 
 
-def validate_file(path: str, *, batch_size: int | None = None, **kw) -> pa.Table:
+def read_parquet_file(path: str, columns: list[str] | None = None) -> pa.Table:
+    """One parquet file, read on the calling thread. A phase-1 task
+    already owns its CPU and the driver's reads are small, so Arrow's
+    thread pool and the dataset layer of ``pq.read_table`` only add
+    set-up and contention."""
+    try:
+        f = pq.ParquetFile(path)
+    except pa.ArrowInvalid as e:
+        # ParquetFile's message omits the path, and phase 2a's error only
+        # carries the message: name the file, as pq.read_table does
+        raise pa.ArrowInvalid(f"Could not open Parquet input source '{path}': {e}") from e
+    with f:
+        return f.read(columns=columns, use_threads=False)
+
+
+def validate_file(path: str, *, batch_size: int | None = None, **kw) -> list[dict]:
     """Phase 1's task body: read one partition file and validate it as
     ``validate_task`` does (same keyword arguments). Each slice's sink
     files are named by its row offset in the file, so a retried task
-    rewrites the same files."""
-    return _validate_slices(pq.read_table(path), batch_size, tag_offsets=True, **kw)
+    rewrites the same files. Returns the partial rows as dicts, which the
+    driver unpickles faster than a table."""
+    table = _validate_slices(read_parquet_file(path), batch_size, tag_offsets=True, **kw)
+    return table.to_pylist()
 
 
 def _validate_slices(

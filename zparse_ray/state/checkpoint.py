@@ -36,7 +36,7 @@ class Manifest:
         self.data["partitions"][str(pid)] = {**info, "committed_at": time.time()}
         tmp = self.path + ".tmp"
         with open(tmp, "w") as f:
-            json.dump(self.data, f)
+            f.write(json.dumps(self.data))  # C encoder; json.dump iterates in Python
         os.replace(tmp, self.path)
 
     def info(self, pid: int) -> dict:
