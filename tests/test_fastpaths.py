@@ -1,5 +1,5 @@
-"""Accept-only fast paths: ``check_csv`` / ``check_xml`` / ``check_toml`` /
-``check_yaml`` against the exact parsers.
+"""Accept-only fast paths: ``check_json`` / ``check_jsonc`` / ``check_csv`` /
+``check_xml`` / ``check_toml`` / ``check_yaml`` against the exact parsers.
 
 A fast path may only say "valid". Everything else runs the exact parser,
 so on every input the checker raises exactly when the parser raises, with
@@ -20,9 +20,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zparse_ray.functions import csv_parser, toml_parser, xml_parser, yaml_parser
+from zparse_ray.functions import csv_parser, json_parser, toml_parser, xml_parser, yaml_parser
 from zparse_ray.functions.csv_parser import CsvConfig, check_csv, parse_csv
 from zparse_ray.functions.errors import ParseError
+from zparse_ray.functions.json_parser import (
+    JSONC_CONFIG,
+    JsonConfig,
+    check_json,
+    check_jsonc,
+    parse_json,
+    parse_jsonc,
+)
 from zparse_ray.functions.toml_parser import TomlConfig, check_toml, parse_toml
 from zparse_ray.functions.xml_parser import XmlConfig, check_xml, parse_xml
 from zparse_ray.functions.yaml_parser import YamlConfig, check_yaml, parse_yaml
@@ -608,3 +616,173 @@ def test_grouped_walk_keeps_index_order(monkeypatch):
     exact = S.validate_payloads(kinds, texts, idxs, False)
     assert fast == exact == one_by_one
     assert len(fast) >= 30 and {k for k, _ in spans} == set(kinds[[r[0] for r in fast]])
+
+
+# -- JSON / JSONC: orjson may only accept -----------------------------------
+
+_JSON_TOKENS = [
+    "{", "}", "[", "]", ",", ":", '"', '"k"', '"a b"', "0", "1", "-", "2.5", "e", "E", "+",
+    ".", "true", "false", "null", "nul", " ", "\t", "\n", "\r", "\\", "\\n", "\\u00e9",
+    "\\ud83d\\ude00", "\\ud800", "\\q", "/", "*", "//", "/*", "*/", "\x00", "\x01", "\x0c",
+    "\x1f", "\x7f", "é", "☃", "\U0001f600", "\ufeff", "NaN", "Infinity", "x",
+]
+_JSON_CHARS = '{}[],:"0123456789-+.eE \t\n\r\\/*ux\x00\x01\x0c\x1f'
+_JSON_CFGS = [JsonConfig(max_depth=1), JsonConfig(max_depth=2), JsonConfig(max_size=16),
+              JsonConfig(allow_comments=True), JsonConfig(allow_trailing_commas=True),
+              JsonConfig(max_depth=2000)]
+
+
+def assert_json_agrees(text, cfg=None):
+    assert _outcome(check_json, text, cfg) == _outcome(parse_json, text, cfg), (text, cfg)
+    assert _outcome(check_jsonc, text, cfg) == _outcome(parse_jsonc, text, cfg), (text, cfg)
+
+
+def _json_like(rng: random.Random) -> str:
+    """Token soup, or a valid synth JSON payload with up to three
+    one-char mutations."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(_JSON_TOKENS) for _ in range(rng.randrange(12)))
+    text = _valid_payload("json", rng)
+    for _ in range(rng.randrange(4)):
+        text = _mutate(text, rng, _JSON_CHARS)
+    return text
+
+
+def test_check_json_matches_parse_json_on_random_strings():
+    rng = random.Random(20240)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200_000):
+        text = _json_like(rng)
+        want = _outcome(parse_json, text)
+        assert _outcome(check_json, text) == want, text
+        assert _outcome(check_jsonc, text) == _outcome(parse_jsonc, text), text
+        outcomes[want is None] += 1
+    assert min(outcomes.values()) > 40_000, outcomes
+
+
+def test_check_json_matches_parse_json_with_configs():
+    rng = random.Random(20241)
+    for _ in range(20_000):
+        text = _json_like(rng)
+        assert_json_agrees(text, rng.choice(_JSON_CFGS))
+
+
+def test_synth_json_spans_agree():
+    # every JSON and JSONC span of validate_mixed-sized synth data, seeds 1-3
+    import pyarrow.compute as pc
+
+    from zparse_ray.synth import SynthConfig, gen_partition
+
+    n = 0
+    for seed in (1, 2, 3):
+        cfg = SynthConfig(seed=seed, n_docs=20_000, n_partitions=16)
+        for pid in range(cfg.n_partitions):
+            spans = gen_partition(cfg, pid)["spans"].combine_chunks().flatten()
+            kinds = spans.field("kind")
+            for kind, check, parse in (("json", check_json, parse_json),
+                                       ("jsonc", check_jsonc, parse_jsonc)):
+                for text in spans.field("text").filter(pc.equal(kinds, kind)).to_pylist():
+                    assert _outcome(check, text) == _outcome(parse, text), (kind, text)
+                    n += 1
+    assert n > 60_000
+
+
+_DEEP = {d: "[" * d + "1" + "]" * d for d in (128, 129, 1024, 1025)}
+_DEEP_OBJ = {d: '{"a":' * d + "1" + "}" * d for d in (128, 129, 1024, 1025)}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\ufeff{}", '"\\ud83d\\ude00"', '["\\ud83d\\ude00"]', '"\\ud800"', '"\\udc00x"',
+        "1e400", "-1e400", "1" * 30, "-" + "9" * 30 + ".5e3", "-0", "-0.0e-0", "NaN",
+        "Infinity", "-Infinity", '["a\tb"]', '"a\x01b"', '"\x7f"', "\x0c1", "1\x0c",
+        "\xa01", " \t\n\r[1] \r\n", '"\ud800"', "", " ", "1 2", "01", "1.", ".5", "+1",
+        '{"a":1,"a":2}', "[1,]", '{"a":1,}', "[1,\n]", "[1 , ]", "// c\n[1]", "/* c */ 1",
+        "[1 /* c */]", '{"a": 1 /* oops', '{"a": "x/y"}', '["a,]"]', '{"u": "\\u00e9"}',
+    ],
+)
+def test_json_guard_cases_agree(text):
+    assert_json_agrees(text)
+    for cfg in _JSON_CFGS:
+        assert_json_agrees(text, cfg)
+
+
+def test_escaped_surrogate_pair_is_rejected_though_orjson_accepts():
+    # orjson combines the pair; the reference rejects each surrogate
+    # escape, so only the "\\" guard keeps check_json exact
+    import orjson
+
+    text = '"\\ud83d\\ude00"'
+    assert orjson.loads(text) == "\U0001f600"
+    assert _outcome(check_json, text) == ("InvalidUnicodeEscape", "invalid unicode escape", 3, 1, 4)
+
+
+@pytest.mark.parametrize("depth,check", [(128, None), (129, "MaxDepthExceeded"),
+                                         (1024, "MaxDepthExceeded"), (1025, "MaxDepthExceeded")])
+def test_json_depth_bound(depth, check):
+    for text in (_DEEP[depth], _DEEP_OBJ[depth]):
+        got = _outcome(check_json, text)
+        assert (got and got[0]) == check
+        assert_json_agrees(text)
+        for cfg in _JSON_CFGS:
+            assert_json_agrees(text, cfg)
+
+
+def test_deep_json_past_default_depth_reaches_exact_parser(monkeypatch):
+    # max_depth above the default: a deep text orjson accepts is still
+    # decided by parse_json, whose own walk may end in a RecursionError
+    cfg = JsonConfig(max_depth=2000)
+    assert_reaches_exact(monkeypatch, json_parser, "parse_json", check_json, _DEEP[129], cfg)
+    assert_fast_accept(monkeypatch, json_parser, "parse_json", check_json, _DEEP[128], cfg)
+
+
+@pytest.mark.parametrize(
+    "text,cfg",
+    [('"\\n"', None), ("[1,]", JSONC_CONFIG), ("// c\n1", JSONC_CONFIG),
+     ('{"a": [1, 2]}', JsonConfig(max_depth=1)), ('"abcd"', JsonConfig(max_size=5)),
+     ('"\ud800"', None)],
+)
+def test_json_guard_misses_reach_exact_parser(monkeypatch, text, cfg):
+    assert_reaches_exact(monkeypatch, json_parser, "parse_json", check_json, text, cfg)
+
+
+def test_json_fast_path_taken_on_synth_payloads(monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("exact parser called")
+
+    monkeypatch.setattr(json_parser, "parse_json", boom)
+    rng = random.Random(9)
+    for _ in range(500):
+        text = _valid_payload("json", rng)
+        check_json(text)
+        check_jsonc(text)
+
+
+def test_json_parser_configs_through_validate_payloads(monkeypatch):
+    # a non-default JsonConfig reaches the checkers through
+    # parser_configs: the fast walk equals the exact one span by span
+    import zparse_ray.stages.spancheck as S
+
+    cfgs = S.build_parser_configs(max_depth=3, allow_comments=True)
+    rng = random.Random(13)
+    spans = []
+    for kind in ("json", "jsonc"):
+        for _ in range(40):
+            spans.append((kind, _valid_payload(kind, rng)))
+            spans.append((kind, _json_like(rng)))
+        spans += [(kind, t) for t, _ in _INVALID_MENU[kind]]
+        spans += [(kind, "[[[1]]]"), (kind, "[[[[1]]]]"), (kind, "[1, // c\n 2,]")]
+    kinds = np.array([k for k, _ in spans], dtype=object)
+    texts = np.array([t for _, t in spans], dtype=object)
+    idxs = np.arange(len(spans))
+    fast = S.validate_payloads(kinds, texts, idxs, False, cfgs)
+    monkeypatch.setattr(S, "_CHECKERS", S._PARSERS)
+    exact = S.validate_payloads(kinds, texts, idxs, False, cfgs)
+    assert fast == exact
+    rows = {int(i): c for i, c, *_ in fast}
+    for i, (_, text) in enumerate(spans):
+        if text == "[[[[1]]]]":
+            assert rows[i] == "MaxDepthExceeded"
+        elif text.startswith(("[[[1]]]", "[1, //")):  # within depth; comment + trailing comma
+            assert i not in rows

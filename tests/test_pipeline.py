@@ -493,8 +493,7 @@ def test_validate_task_slices_merge_to_unsliced_call():
     import numpy as np
 
     from zparse_ray.functions.sketches import TDigest
-    from zparse_ray.pipelines.validate import _merge_partials
-    from zparse_ray.stages.spancheck import SpanValidator, validate_task
+    from zparse_ray.stages.spancheck import SpanValidator, _merge_partials, validate_task
     from zparse_ray.synth import gen_assets, gen_partition
 
     cfg = SynthConfig(n_docs=1000, n_partitions=1, seed=29)
@@ -1365,3 +1364,145 @@ def test_remote_wrappers_work_in_a_new_ray_session(tmp_path):
     r = subprocess.run([sys.executable, "-c", script], cwd=repo, capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
     assert r.stdout.strip().splitlines()[-1] == "3"
+
+
+# -- phase 2b: verdicts from the manifest ------------------------------------
+
+def _partials_reads(monkeypatch):
+    """Paths under partials/ that the driver reads through
+    read_parquet_file from now on."""
+    from zparse_ray.pipelines import validate as V
+
+    reads = []
+    real = V.read_parquet_file
+
+    def spy(path, *a, **k):
+        if os.sep + "partials" + os.sep in path:
+            reads.append(path)
+        return real(path, *a, **k)
+
+    monkeypatch.setattr(V, "read_parquet_file", spy)
+    return reads
+
+
+def test_verdicts_come_from_the_manifest(ray_session, tmp_path, monkeypatch):
+    # a fresh run reads no partials file in phase 2b, and its manifest
+    # entries carry every verdict field
+    d = ensure_dataset(SynthConfig(n_docs=900, n_partitions=3, seed=53))
+    reads = _partials_reads(monkeypatch)
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    assert reads == []
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+    m = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    for pid, info in m["partitions"].items():
+        (p,) = pq.read_table(os.path.join(out, "partials", f"part-{int(pid):05d}.parquet")).to_pylist()
+        assert {k: info[k] for k in ("n_docs", "n_spans", "n_violations", "checks_failed")} == {
+            k: p[k] for k in ("n_docs", "n_spans", "n_violations", "checks_failed")
+        }
+
+
+def test_resume_after_half_the_partitions_committed(ray_session, tmp_path, monkeypatch):
+    # the first call sees only half the partition files and commits them;
+    # the second call runs the rest, and its verdicts cover both halves
+    src = ensure_dataset(SynthConfig(n_docs=1200, n_partitions=4, seed=59))
+    d = str(tmp_path / "in")
+    shutil.copytree(src, d)
+    spans = os.path.join(d, "spans")
+    held = str(tmp_path / "held")
+    os.makedirs(held)
+    for name in ("part-00002.parquet", "part-00003.parquet"):
+        shutil.move(os.path.join(spans, name), os.path.join(held, name))
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    assert set(json.load(open(os.path.join(out, "manifest.json")))["partitions"]) == {"0", "1"}
+    for name in os.listdir(held):
+        shutil.move(os.path.join(held, name), os.path.join(spans, name))
+    reads = _partials_reads(monkeypatch)
+    run_validation(d, out)
+    assert reads == []
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+
+
+def test_manifest_entry_without_checks_failed(ray_session, tmp_path, monkeypatch):
+    # an older engine committed n_docs/n_spans/n_violations only: phase
+    # 2b reads that partition's partials file, and no other
+    d = ensure_dataset(SynthConfig(n_docs=900, n_partitions=3, seed=53))
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    mpath = os.path.join(out, "manifest.json")
+    m = json.load(open(mpath))
+    del m["partitions"]["1"]["checks_failed"]
+    json.dump(m, open(mpath, "w"))
+    reads = _partials_reads(monkeypatch)
+    run_validation(d, out)
+    assert [os.path.basename(p) for p in reads] == ["part-00001.parquet"]
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+
+
+def test_drift_rows_from_partials_files(ray_session, tmp_path, monkeypatch):
+    # with a drift profile, phase 2b reads every partials file, and the
+    # Drift rows and verdicts are the partials' KS/PSI against the profile
+    # on top of the oracle's verdicts
+    from zparse_ray.pipelines.validate import ks_distance, psi
+    from zparse_ray.functions.sketches import TDigest
+
+    clean = dict(invalid_rate=0.0, dup_rate=0.0, dangling_rate=0.0, span_order_rate=0.0)
+    d_ref = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=21, **clean))
+    run_validation(d_ref, str(tmp_path / "ref"))
+    profile_path = str(tmp_path / "profile.json")
+    prof = build_profile(str(tmp_path / "ref"), profile_path)
+    d = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=22, mean_spans=20))
+    out = str(tmp_path / "out")
+    reads = _partials_reads(monkeypatch)
+    run_validation(d, out, drift_profile=profile_path)
+    assert len(reads) == 3
+
+    want_drift = []
+    o_viols, o_verdicts = oracle_validate(d)
+    for v in o_verdicts:
+        (p,) = pq.read_table(
+            os.path.join(out, "partials", f"part-{v['partition_id']:05d}.parquet")
+        ).to_pylist()
+        ks = max(
+            ks_distance(TDigest.from_bytes(p[k]), TDigest.from_bytes(bytes.fromhex(prof[k])))
+            for k in ("textlen_tdigest", "spans_tdigest")
+        )
+        p_psi = psi(prof["kind_hist"], json.loads(p["kind_hist"]))
+        if ks > 0.15 or p_psi > 0.25:
+            want_drift.append((v["partition_id"], f"ks={ks:.4f} psi={p_psi:.4f}"))
+            checks = set(filter(None, v["checks_failed"].split(","))) | {"Drift"}
+            v.update(passed=False, n_violations=v["n_violations"] + 1,
+                     checks_failed=",".join(sorted(checks)))
+    viols, verdicts = read_pipeline_outputs(out)
+    assert want_drift
+    assert [(v["partition_id"], v["detail"]) for v in viols if v["check_id"] == "Drift"] == want_drift
+    assert [v for v in viols if v["check_id"] != "Drift"] == o_viols
+    assert verdicts == o_verdicts
+
+
+def test_rows_of_another_partition_id_fail_before_any_write(ray_session, tmp_path):
+    # rows of id 7 in part-00001.parquet: the task raises naming the file
+    # and writes nothing, so no part-00007-* file exists; once the file
+    # is fixed, a resume equals the oracle
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    cfg = SynthConfig(n_docs=600, n_partitions=2, seed=61)
+    d = str(tmp_path / "in")
+    shutil.copytree(ensure_dataset(cfg), d)
+    bad = os.path.join(d, "spans", "part-00001.parquet")
+    good = pq.read_table(bad)
+    i = good.schema.get_field_index("partition_id")
+    pq.write_table(good.set_column(i, "partition_id", pc.cast(pa.array([7] * good.num_rows), good.schema.field(i).type)), bad)
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="part-00001.parquet"):
+        run_validation(d, out)
+    m = json.load(open(os.path.join(out, "manifest.json")))
+    assert set(m["partitions"]) == {"0"}
+
+    pq.write_table(good, bad)
+    run_validation(d, out)
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+    names = [n for sub in ("violations", "docmeta", "partials") for n in os.listdir(os.path.join(out, sub))]
+    assert names and not [n for n in names if n.startswith("part-00007")]

@@ -60,6 +60,9 @@ class JsonConfig:
     allow_trailing_commas: bool = False
 
 
+# shared default: building a frozen dataclass on every call costs about
+# as much as orjson takes to parse a short span
+JSON_CONFIG = JsonConfig()
 JSONC_CONFIG = JsonConfig(allow_comments=True, allow_trailing_commas=True)
 
 _WS = re.compile(r"[ \t\n\r]*")
@@ -288,6 +291,8 @@ class _JsonParser:
 
 import json as _cjson
 
+import orjson as _orjson
+
 
 def _reject_constant(_s):
     raise ValueError("non-finite constants rejected")
@@ -305,15 +310,39 @@ _TRAILING_COMMA_RE = re.compile(r",\s*[}\]]")
 def _depth_guard(text: str, value, max_depth: int) -> bool:
     """True iff value's depth is within max_depth. Cheap path: fewer
     than max_depth container-opens in the text (C-speed str.count)
-    implies the depth bound can't be exceeded."""
+    implies the depth bound can't be exceeded. Otherwise one level-by-
+    level walk over the containers, which stops at ``max_depth + 1``
+    levels: no recursion, and one short list per level."""
     if text.count("{") + text.count("[") <= max_depth:
         return True
-    from ..value import depth_of
+    level = [value] if type(value) in (dict, list) else []
+    depth = 0
+    while level:
+        depth += 1
+        if depth > max_depth:
+            return False
+        nxt = []  # a plain loop: a comprehension costs a frame per level
+        for v in level:
+            for c in v.values() if type(v) is dict else v:
+                if type(c) is list or type(c) is dict:
+                    nxt.append(c)
+        level = nxt
+    return True
 
-    try:
-        return depth_of(value) <= max_depth
-    except RecursionError:
-        return False
+
+def _fast_ok(text: str, cfg: JsonConfig) -> bool:
+    """True iff a C decoder may stand in for the exact parser on
+    ``text``. No ``\\`` rules out every escape, and with it the decoders'
+    acceptance of surrogate ``\\uXXXX`` escapes (CPython takes lone ones,
+    orjson takes pairs; the reference takes neither). Permissive (JSONC)
+    configs also need the text to use none of the permissive features:
+    no ``/`` rules out comments, and no ``,}``/``,]`` (whitespace-
+    insensitive) rules out trailing commas. Both are cheap C scans; a
+    false positive only means the exact parser runs."""
+    return "\\" not in text and (
+        not (cfg.allow_comments or cfg.allow_trailing_commas)
+        or ("/" not in text and not _TRAILING_COMMA_RE.search(text))
+    )
 
 
 def parse_json(text: str, config: JsonConfig | None = None):
@@ -321,29 +350,18 @@ def parse_json(text: str, config: JsonConfig | None = None):
     first grammar violation (reference contract: one document in, one
     DOM or one structured error out).
 
-    Fast path: for strict-mode documents with no escape sequences
-    (``\\`` absent — which also excludes the one semantic divergence,
-    CPython's acceptance of lone-surrogate ``\\uXXXX``), the C scanner
-    validates/builds the value (ints parsed as f64 per the reference's
-    number model, non-finite constants rejected, depth bound enforced).
-    Any fast-path failure falls back to the exact recursive-descent
-    parser for the precise check_id + position.
+    Fast path: when ``_fast_ok`` holds, the C scanner validates/builds
+    the value (ints parsed as f64 per the reference's number model,
+    non-finite constants rejected, depth bound enforced). Any fast-path
+    failure falls back to the exact recursive-descent parser for the
+    precise check_id + position.
     """
-    cfg = config or JsonConfig()
+    cfg = config or JSON_CONFIG
     if len(text.encode("utf-8", "surrogatepass")) > cfg.max_size:
         raise ParseError(
             MAX_SIZE_EXCEEDED, f"maximum size exceeded: {cfg.max_size}", 0, 1, 1
         )
-    # permissive (JSONC) configs can also take the C fast path when the
-    # text provably uses none of the permissive features: no '/' rules
-    # out comments, and no ",}"/",]" (whitespace-insensitive) rules out
-    # trailing commas — both cheap C scans; false positives only fall
-    # back to the exact parser
-    fast_ok = "\\" not in text and (
-        not (cfg.allow_comments or cfg.allow_trailing_commas)
-        or ("/" not in text and not _TRAILING_COMMA_RE.search(text))
-    )
-    if fast_ok:
+    if _fast_ok(text, cfg):
         try:
             v = _FAST_DECODER.decode(text)
         except (ValueError, RecursionError):
@@ -363,8 +381,42 @@ def parse_json(text: str, config: JsonConfig | None = None):
     return v
 
 
-def parse_jsonc(text: str, config: JsonConfig | None = None):
+def _jsonc_config(config: JsonConfig | None) -> JsonConfig:
     cfg = config or JSONC_CONFIG
     if not (cfg.allow_comments and cfg.allow_trailing_commas):
         cfg = JsonConfig(cfg.max_depth, cfg.max_size, True, True)
-    return parse_json(text, cfg)
+    return cfg
+
+
+def parse_jsonc(text: str, config: JsonConfig | None = None):
+    return parse_json(text, _jsonc_config(config))
+
+
+def check_json(text: str, config: JsonConfig | None = None) -> None:
+    """Recognizer-only form of ``parse_json``: raise exactly what it
+    raises, build no DOM for the caller.
+
+    ``orjson.loads`` (strict RFC 8259: no BOM, no NaN/Infinity, no raw
+    control chars in strings, whitespace `` \\t\\n\\r`` only, non-finite
+    numbers rejected) may only say "valid", and only under
+    ``_fast_ok``'s guards, on a text surely within ``max_size``, and at a
+    depth within both ``max_depth`` and the default 128: deeper than
+    that, ``parse_json``'s own walk may end in a RecursionError, so only
+    it can tell. Every orjson reject, guard miss or depth excess runs
+    ``parse_json``, so check_id, message and line/col are its own.
+    """
+    cfg = config or JSON_CONFIG
+    # a str's UTF-8 form is at most 4 bytes per char
+    if len(text) <= cfg.max_size >> 2 and _fast_ok(text, cfg):
+        try:
+            v = _orjson.loads(text)
+        except ValueError:
+            pass
+        else:
+            if _depth_guard(text, v, min(cfg.max_depth, DEFAULT_MAX_DEPTH)):
+                return
+    parse_json(text, cfg)
+
+
+def check_jsonc(text: str, config: JsonConfig | None = None) -> None:
+    check_json(text, _jsonc_config(config))

@@ -3,11 +3,13 @@ plain Ray tasks only, no Ray Data.
 
     phase 1: one Ray task (validate_file) per uncommitted partition file
       -> the task reads its file: grammar + order + ref-integrity +
-         stats partials; violations/docmeta written by the task
-         (resumable sink)
+         stats partials; violations, docmeta and the merged partials
+         row written by the task (resumable sink), which returns only
+         the row's verdict fields
       -> the driver takes results as tasks finish (ray.wait), checks
-         each partition's doc count, writes its partials file and
-         commits it to the manifest (a failed partition never is)
+         each partition's doc count against its footer and commits the
+         verdict fields to the manifest; a failed partition is never
+         committed, and its sink files are removed
     phase 2 (cheap, over compact intermediates; recomputed every call):
       -> doc_id uniqueness: one reducer (_write_dups) over docmeta, run
          in the driver or, past dup_driver_threshold rows, per bucket
@@ -15,7 +17,8 @@ plain Ray tasks only, no Ray Data.
          the spans), writing violations/dups-*.parquet
       -> drift: per-partition sketches vs a frozen reference profile
          (KS on t-digest CDFs, PSI on kind histograms)
-      -> per-partition verdicts written
+      -> per-partition verdicts written, built from the manifest's
+         entries (partials files are read only for drift)
 
 Scale properties: the heavy input is read exactly once and never
 re-materialized; everything that shuffles (docmeta: ~25 bytes/doc) is
@@ -31,7 +34,6 @@ import glob
 import itertools
 import json as _json
 import os
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -39,13 +41,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions import errors as E
-from ..functions.sketches import HyperLogLog, TDigest, hash64
+from ..functions.sketches import TDigest, hash64
 from ..schema import VERDICTS_SCHEMA, VIOLATIONS_SCHEMA
 from ..stages.joins import ROWS_PER_BUCKET, _bucket_of, _warn_if_hot
-from ..stages.spancheck import PARTIALS_SCHEMA, read_parquet_file
+from ..stages.spancheck import _PART_RE, PARTIALS_SCHEMA, read_parquet_file
 from ..state.checkpoint import Manifest, clean_stale_outputs
-
-_PART_RE = re.compile(r"part-(\d+)\.parquet$")
 
 
 @functools.cache
@@ -133,25 +133,6 @@ def _write_dups(path: str, *parts: pa.Table) -> tuple[int, dict[int, int]]:
     os.replace(path + ".tmp", path)
     pids, counts = np.unique(dups["partition_id"].to_numpy(), return_counts=True)
     return dups.num_rows, {int(p): int(c) for p, c in zip(pids, counts)}
-
-
-def _merge_partials(a: dict, b: dict) -> dict:
-    checks = sorted(set(filter(None, a["checks_failed"].split(","))) | set(filter(None, b["checks_failed"].split(","))))
-    ha = _json.loads(a["kind_hist"])
-    for k, v in _json.loads(b["kind_hist"]).items():
-        ha[k] = ha.get(k, 0) + v
-    return {
-        "partition_id": a["partition_id"],
-        "n_docs": a["n_docs"] + b["n_docs"],
-        "n_spans": a["n_spans"] + b["n_spans"],
-        "n_violations": a["n_violations"] + b["n_violations"],
-        "checks_failed": ",".join(checks),
-        "kind_hist": _json.dumps(ha, sort_keys=True),
-        "textlen_tdigest": TDigest.from_bytes(a["textlen_tdigest"]).merge(TDigest.from_bytes(b["textlen_tdigest"])).to_bytes(),
-        "spans_tdigest": TDigest.from_bytes(a["spans_tdigest"]).merge(TDigest.from_bytes(b["spans_tdigest"])).to_bytes(),
-        "doc_hll": HyperLogLog.from_bytes(a["doc_hll"]).merge(HyperLogLog.from_bytes(b["doc_hll"])).to_bytes(),
-        "ref_hll": HyperLogLog.from_bytes(a["ref_hll"]).merge(HyperLogLog.from_bytes(b["ref_hll"])).to_bytes(),
-    }
 
 
 def ks_distance(a: TDigest, b: TDigest, grid: int = 64) -> float:
@@ -271,25 +252,19 @@ def run_validation(
                 break
             (ref,), _ = ray.wait(list(in_flight), num_returns=1)
             f = in_flight.pop(ref)
+            pid = pid_of[f]
             try:
-                rows = ray.get(ref)
+                info = ray.get(ref)
             except ray.exceptions.RayError as e:
                 failed[f] = e
-                continue
-            pid = pid_of[f]
-            n_docs = sum(r["n_docs"] for r in rows)
-            if n_docs != expected.get(pid) or any(r["partition_id"] != pid for r in rows):
-                ids = sorted({r["partition_id"] for r in rows})
-                failed[f] = RuntimeError(f"{n_docs} docs of partitions {ids}, footer: {expected.get(pid)}")
-                continue
-            if not rows:
-                continue  # an empty file has no verdict (as in the oracle)
-            part = functools.reduce(_merge_partials, rows)
-            t = pa.Table.from_pylist([part], schema=PARTIALS_SCHEMA)
-            ppath = os.path.join(out_dir, "partials", f"part-{pid:05d}.parquet")
-            pq.write_table(t, ppath + ".tmp")
-            os.replace(ppath + ".tmp", ppath)
-            manifest.commit(pid, {k: part[k] for k in ("n_docs", "n_spans", "n_violations")})
+            else:
+                if info["n_docs"] == expected.get(pid):
+                    if info["n_docs"]:  # an empty file has no verdict (as in the oracle)
+                        manifest.commit(pid, info)
+                    continue
+                failed[f] = RuntimeError(f"{info['n_docs']} docs, footer: {expected.get(pid)}")
+            # a failed partition leaves no sink files behind
+            clean_stale_outputs(out_dir, {pid})
         timings["phase1"] = round(_time.time() - _t, 3)
         timings["phase1_driver_cpu_s"] = round(_time.thread_time() - cpu0, 3)
         _t = _time.time()
@@ -337,19 +312,22 @@ def run_validation(
     _t = _time.time()
     # ------------------------------------------------------------------
     # phase 2b: drift vs frozen profile + verdict assembly (driver-side,
-    # O(partitions) work over the tiny partials)
+    # O(partitions) work). The verdicts come from the manifest's entries;
+    # a partition's partials file is read only for drift, which needs its
+    # sketches, or when an older engine committed it without checks_failed
     profile = None
     if drift_profile and os.path.exists(drift_profile):
         profile = _json.loads(open(drift_profile).read())
 
-    partial_files = sorted(glob.glob(os.path.join(out_dir, "partials", "part-*.parquet")))
-    # the column list drops what an older engine's partials carried
-    partials = [r for f in partial_files for r in read_parquet_file(f, PARTIALS_SCHEMA.names).to_pylist()]
     verdict_rows = []
     drift_viols = []
     totals = {"n_docs": 0, "n_spans": 0, "n_violations": 0}
-    for p in sorted(partials, key=lambda r: r["partition_id"]):
-        pid = p["partition_id"]
+    for pid in sorted(manifest.committed):
+        p = manifest.info(pid)
+        if profile is not None or "checks_failed" not in p:
+            # the column list drops what an older engine's partials carried
+            path = os.path.join(out_dir, "partials", f"part-{pid:05d}.parquet")
+            (p,) = read_parquet_file(path, PARTIALS_SCHEMA.names).to_pylist()
         checks = set(filter(None, p["checks_failed"].split(",")))
         n_viol = p["n_violations"] + dup_pid_counts.get(pid, 0)
         if dup_pid_counts.get(pid):

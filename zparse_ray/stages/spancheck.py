@@ -17,8 +17,9 @@ Per batch (zero-copy Arrow):
    kind and which survived the prechecks, grouped by kind so one parser
    stays hot. Where a cheaper check can decide "valid" it goes first:
    JSON's C scanner inside ``parse_json``, and, when ``round_trip`` is
-   off, the recognizer-only ``check_csv`` (``csv.reader``),
-   ``check_xml`` (expat), ``check_toml`` (regex rewrite of flat
+   off, the recognizer-only ``check_json``/``check_jsonc`` (orjson),
+   ``check_csv`` (``csv.reader``), ``check_xml`` (expat),
+   ``check_toml`` (regex rewrite of flat
    ``key = value`` lines with single-line arrays and inline tables) and
    ``check_yaml`` (regex over block lines of plain or escape-free
    double-quoted scalars, plus a small indent stack). A fast path only
@@ -28,13 +29,14 @@ Per batch (zero-copy Arrow):
    deep-compare (the reference's property-test invariant,
    tests/property_tests.rs:121-156, applied per span);
 4. violations + docmeta are written to per-partition parquet files by
-   the stage itself (atomic tmp+rename) — the resumable-sink pattern:
-   one task validates one input partition file, so the driver commits
-   that partition in the manifest as soon as its task returns with the
-   expected row count;
-5. the stage RETURNS only tiny per-partition partial rows (counts,
-   kind histogram, t-digest / HLL sketch bytes) for the verdict and
-   drift phases — the heavy input stream never leaves the stage.
+   the stage itself (atomic tmp+rename) — the resumable-sink pattern;
+5. each batch yields tiny per-partition partial rows (counts, kind
+   histogram, t-digest / HLL sketch bytes). ``validate_file`` — one
+   task per input partition file — merges its slices' rows, writes
+   the merged row to ``partials/`` for the drift phase, and returns
+   only its verdict fields, which the driver commits to the manifest
+   as soon as the task returns with the expected row count. Neither
+   the heavy input stream nor the sketches reach the driver.
 
 Scale notes: the grammar walk is the workload's irreducible per-payload
 compute (same as the reference's single-doc parse); throughput comes
@@ -48,8 +50,10 @@ unit weights compresses column-wise (``sketches._unit_clusters``).
 
 from __future__ import annotations
 
+import functools
 import json as _json
 import os
+import re
 import uuid
 
 import numpy as np
@@ -68,7 +72,7 @@ from ..functions.convert import (
 )
 from ..functions.csv_parser import check_csv, parse_csv
 from ..functions.errors import ParseError
-from ..functions.json_parser import parse_json, parse_jsonc
+from ..functions.json_parser import check_json, check_jsonc, parse_json, parse_jsonc
 from ..functions.sketches import HyperLogLog, TDigest, hash64
 from ..functions.toml_parser import check_toml, parse_toml
 from ..functions.xml_parser import check_xml, parse_xml
@@ -92,11 +96,12 @@ _PARSERS = {
     "xml": parse_xml,
 }
 
-# round_trip off: only the verdict matters, so CSV, TOML, YAML and XML
-# take their recognizer-only checks (csv.reader, regex subsets, expat),
-# which may only accept; JSON and JSONC parse as usual
+# round_trip off: only the verdict matters, so every kind takes its
+# recognizer-only check (orjson, csv.reader, regex subsets, expat),
+# which may only accept
 _CHECKERS = {
-    **_PARSERS,
+    "json": check_json,
+    "jsonc": check_jsonc,
     "csv": check_csv,
     "toml": check_toml,
     "yaml": check_yaml,
@@ -125,6 +130,26 @@ PARTIALS_SCHEMA = pa.schema(
         ("ref_hll", pa.binary()),
     ]
 )
+
+
+def _merge_partials(a: dict, b: dict) -> dict:
+    checks = sorted(set(filter(None, a["checks_failed"].split(","))) | set(filter(None, b["checks_failed"].split(","))))
+    ha = _json.loads(a["kind_hist"])
+    for k, v in _json.loads(b["kind_hist"]).items():
+        ha[k] = ha.get(k, 0) + v
+    return {
+        "partition_id": a["partition_id"],
+        "n_docs": a["n_docs"] + b["n_docs"],
+        "n_spans": a["n_spans"] + b["n_spans"],
+        "n_violations": a["n_violations"] + b["n_violations"],
+        "checks_failed": ",".join(checks),
+        "kind_hist": _json.dumps(ha, sort_keys=True),
+        "textlen_tdigest": TDigest.from_bytes(a["textlen_tdigest"]).merge(TDigest.from_bytes(b["textlen_tdigest"])).to_bytes(),
+        "spans_tdigest": TDigest.from_bytes(a["spans_tdigest"]).merge(TDigest.from_bytes(b["spans_tdigest"])).to_bytes(),
+        "doc_hll": HyperLogLog.from_bytes(a["doc_hll"]).merge(HyperLogLog.from_bytes(b["doc_hll"])).to_bytes(),
+        "ref_hll": HyperLogLog.from_bytes(a["ref_hll"]).merge(HyperLogLog.from_bytes(b["ref_hll"])).to_bytes(),
+    }
+
 
 DOCMETA_SCHEMA = pa.schema(
     [
@@ -528,7 +553,8 @@ def validate_task(
     it. ``batch_size`` slices the table: zero-copy slices of that many
     rows keep the working set cache-sized on large partitions (~25%
     faster at full concurrency than one whole-table call). Each slice
-    returns its own partial rows; the driver merges them per pid. The
+    returns its own partial rows, unmerged, and no ``partials/`` file
+    is written (``validate_file`` merges and writes them). The
     sink files get random names, since the caller's batches need not be
     reproducible; ``validate_file`` is the form that names them by row
     offset. ``carry_doc_hashes`` has no effect and is kept only so
@@ -562,14 +588,38 @@ def read_parquet_file(path: str, columns: list[str] | None = None) -> pa.Table:
         return f.read(columns=columns, use_threads=False)
 
 
-def validate_file(path: str, *, batch_size: int | None = None, **kw) -> list[dict]:
+_PART_RE = re.compile(r"part-(\d+)\.parquet$")
+
+
+def validate_file(path: str, *, batch_size: int | None = None, **kw) -> dict:
     """Phase 1's task body: read one partition file and validate it as
-    ``validate_task`` does (same keyword arguments). Each slice's sink
-    files are named by its row offset in the file, so a retried task
-    rewrites the same files. Returns the partial rows as dicts, which the
-    driver unpickles faster than a table."""
-    table = _validate_slices(read_parquet_file(path), batch_size, tag_offsets=True, **kw)
-    return table.to_pylist()
+    ``validate_task`` does (same keyword arguments). The partition id is
+    the file name's (``part-<pid>.parquet``); a row of any other id
+    raises an error naming the file before anything is written, so every
+    sink file is named by that id. Each slice's sink files are named by
+    its row offset in the file, so a retried task rewrites the same
+    files. The slices' partial rows are merged into one, which is written
+    to ``partials/part-<pid>.parquet`` (atomic tmp+rename) after the
+    violations and docmeta. Returns the fields of the merged row that a
+    verdict needs, which the driver commits to the manifest; an empty
+    file writes no partials and returns ``{"n_docs": 0}``."""
+    pid = int(_PART_RE.search(path).group(1))
+    table = read_parquet_file(path)
+    ids = pc.unique(table["partition_id"]).to_pylist()
+    if table.num_rows and ids != [pid]:
+        raise ValueError(f"{path}: rows of partition_id {ids}, but the file name says {pid}")
+    rows = _validate_slices(table, batch_size, tag_offsets=True, **kw).to_pylist()
+    if not rows:
+        return {"n_docs": 0}
+    part = functools.reduce(_merge_partials, rows)
+    out_dir = kw.get("out_dir")
+    if out_dir:
+        pdir = os.path.join(out_dir, "partials")
+        os.makedirs(pdir, exist_ok=True)
+        ppath = os.path.join(pdir, f"part-{pid:05d}.parquet")
+        pq.write_table(pa.Table.from_pylist([part], schema=PARTIALS_SCHEMA), ppath + ".tmp")
+        os.replace(ppath + ".tmp", ppath)
+    return {k: part[k] for k in ("n_docs", "n_spans", "n_violations", "checks_failed")}
 
 
 def _validate_slices(

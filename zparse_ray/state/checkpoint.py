@@ -8,9 +8,13 @@ partition: committed partitions' outputs (violations/docmeta/partials
 parquet) are kept and their input files are not re-read; uncommitted
 partitions' stale outputs are deleted before re-processing.
 
-The manifest itself is a small JSON rewritten atomically (tmp+rename)
-on every commit — at real scale this would live in an object store
-with conditional puts; the commit protocol is the same.
+Each entry holds the partition's verdict fields (doc, span and
+violation counts, failed checks), so the verdicts are built from the
+manifest alone (partitions that an older engine committed without
+the failed checks, and drift checks, read the partials files). The
+manifest itself is a small JSON rewritten atomically (tmp+rename) on
+every commit — at real scale this would live in an object store with
+conditional puts; the commit protocol is the same.
 """
 
 from __future__ import annotations

@@ -76,15 +76,6 @@ def type_tag(v: Value) -> str:
     raise TypeError(f"not a Value: {type(v)!r}")
 
 
-def depth_of(v: Value) -> int:
-    """Container nesting depth (scalars = 0)."""
-    if isinstance(v, dict):
-        return 1 + max((depth_of(x) for x in v.values()), default=0)
-    if isinstance(v, list):
-        return 1 + max((depth_of(x) for x in v), default=0)
-    return 0
-
-
 def values_equal(a: Value, b: Value, *, rel_tol: float = 1e-9, abs_tol: float = 1e-9) -> bool:
     """Deep equality with float tolerance, mirroring the reference's
     property-test comparator (tests/property_tests.rs:159-219): NaNs are
