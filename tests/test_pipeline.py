@@ -1424,6 +1424,30 @@ def test_resume_after_half_the_partitions_committed(ray_session, tmp_path, monke
     assert read_pipeline_outputs(out) == oracle_validate(d)
 
 
+@pytest.mark.parametrize("case", ["resume", "no_resume", "uncommitted"])
+def test_removed_partition_leaves_the_output(ray_session, tmp_path, case):
+    # a partition file removed between runs takes its verdict, its
+    # doc_ids and its sink files out of the next run's output, with and
+    # without resume, and also when a killed run left its sink files
+    # without a manifest entry
+    src = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=5))
+    d = str(tmp_path / "in")
+    shutil.copytree(src, d)
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    mpath = os.path.join(out, "manifest.json")
+    if case == "uncommitted":
+        m = json.load(open(mpath))
+        del m["partitions"]["2"]
+        json.dump(m, open(mpath, "w"))
+    os.remove(os.path.join(d, "spans", "part-00002.parquet"))
+    run_validation(d, out, resume=case != "no_resume")
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+    assert set(json.load(open(mpath))["partitions"]) == {"0", "1"}
+    left = glob.glob(os.path.join(out, "*", "part-00002*"))
+    assert left == []
+
+
 def test_manifest_entry_without_checks_failed(ray_session, tmp_path, monkeypatch):
     # an older engine committed n_docs/n_spans/n_violations only: phase
     # 2b reads that partition's partials file, and no other

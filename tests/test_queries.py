@@ -22,6 +22,7 @@ CHECKED = [
     "ann_topk",
     "passage_repeats",
     "pack_conservation",
+    "minhash_lsh_neardup",
 ]
 
 

@@ -1558,6 +1558,65 @@ def test_pair_jaccard_matches_per_row_reference():
     assert pair_jaccard([], []).shape == (0,)
 
 
+def _components(pairs):
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups = {}
+    for x in parent:
+        groups.setdefault(find(x), set()).add(x)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def test_verified_neardup_pairs_matches_bruteforce(ray_session):
+    """The near-dup chain against brute-force jaccard(shingles(...)) on
+    a planted corpus. Each family holds a base doc, two one-word drops
+    (Jaccard >= 0.9 to the base and to each other) and a rewrite of 30
+    words in a row, of a higher id (Jaccard about 0.7, so an LSH
+    candidate about half of the time). All-pairs mode must return every
+    pair at or above the threshold exactly once and no other; star mode
+    a duplicate-free subset with the same connected components. Some
+    candidates must fail the verify, or the threshold goes untested."""
+    import ray.data as rd
+
+    from zparse_ray.stages.dedup import verified_neardup_pairs
+
+    rng = np.random.default_rng(37)
+    ids, texts = [], []
+    for fam in range(12):
+        vocab = [f"f{fam}w{j}" for j in range(400)]
+        base = list(rng.choice(vocab, 200, replace=False))
+        near = [base[:i] + base[i + 1:] for i in (60, 140)]
+        far = base[:80] + [f"x{fam}_{i}" for i in range(30)] + base[110:]
+        for k, words in enumerate([base, *near, far]):
+            ids.append(100 * k + fam)  # the rewrite has the family's largest id
+            texts.append(" ".join(words))
+    sh = [shingles(t) for t in texts]
+    want = sorted(
+        (min(ids[i], ids[j]), max(ids[i], ids[j]))
+        for i in range(len(ids)) for j in range(i + 1, len(ids))
+        if jaccard(sh[i], sh[j]) >= 0.8
+    )
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64()), "text": texts}))
+    for star in (False, True):
+        edges, n_truncated, n_cand = verified_neardup_pairs(docs, threshold=0.8, star=star)
+        got = sorted((r["a"], r["b"]) for r in edges.take_all())
+        assert n_truncated == 0
+        assert len(got) == len(set(got)), star
+        if star:
+            assert set(got) <= set(want)
+            assert _components(got) == _components(want)
+        else:
+            assert got == want
+            assert n_cand > len(want)
+
+
 def test_lsh_candidate_pairs_batched_matches_per_bucket_kernel():
     """The coarse-bucket batched kernel must emit exactly the union of
     lsh_candidate_pairs over the contained (band_id, band_hash)

@@ -12,18 +12,16 @@ Two modes:
   a bucketed semi-mark join (stages/joins.bucketed_semi_mark — one
   more id-only shuffle), so document TEXT never shuffles.
 
-- ``minhash``: MinHash+LSH candidate pairs → exact-Jaccard verify at
-  ``threshold`` → connected components (stages/dedup.
+- ``minhash``: ``stages.dedup.verified_neardup_pairs`` (MinHash+LSH
+  star candidates → exact-Jaccard verify at ``threshold``, every step
+  distributed) → connected components (stages/dedup.
   connected_components, distributed min-label propagation) → keep the
   minimum-id doc per near-dup component. Identical texts have
-  identical signatures, so exact dups collapse too. Every stage is
-  distributed (VERDICT r4 item 1): pairs dedup via a keyed aggregate,
-  texts attach through two bucketed shuffle joins, the exact-Jaccard
-  verify is a vectorized per-batch kernel, component labels never
-  land on the driver, and the drop set applies via the same bucketed
-  semi-mark exact mode uses. The hot-bucket caps in
-  lsh_candidate_pairs bound pathological buckets and surface any
-  truncation via marker rows.
+  identical signatures, so exact dups collapse too. Component labels
+  never land on the driver, and the drop set applies via the same
+  bucketed semi-mark exact mode uses. ``bucket_cap`` bounds hot LSH
+  buckets in the candidate stream (``lsh_candidate_pairs_batched``);
+  any truncation is counted in ``n_truncated_slots`` and logged.
 
 Keep decisions are deterministic (min doc_id) — reruns reproduce the
 same corpus. Output is one parquet file per input block
@@ -97,25 +95,13 @@ def _drop_ids_minhash(docs, id_column: str, text_column: str, threshold: float,
                       n_bands: int = 16, shingle_k: int = 5,
                       bucket_cap: int = 64):
     """Ids to DROP under near-dup semantics: every node of a near-dup
-    component except its minimum id. Fully distributed end-to-end
-    (VERDICT r4 item 1 — the old driver-bound pair-set / text-dict /
-    per-pair-Python-Jaccard verify is gone): candidate pairs stay a
-    Dataset, texts attach via two bucketed shuffle joins, exact
-    Jaccard runs vectorized per batch (``dedup.pair_jaccard``), and
-    component labels never land on the driver. Returns
-    ``(drop_ds | None, n_drop, n_components, n_truncated_slots,
-    n_candidate_pairs)`` where ``drop_ds`` is a Dataset[(drop_id,)] to
-    semi-mark against.
+    component except its minimum id, from connected components over
+    the ``verified_neardup_pairs`` edges; labels never land on the
+    driver. Returns ``(drop_ds | None, n_drop, n_components,
+    n_truncated_slots, n_candidate_pairs)`` where ``drop_ds`` is a
+    Dataset[(drop_id,)] to semi-mark against.
     """
-    from ray.data.aggregate import Min
-
-    from ..stages.dedup import (
-        MinHasher,
-        connected_components,
-        lsh_candidate_pair_stream,
-        pair_jaccard,
-    )
-    from ..stages.joins import bucketed_shuffle_join
+    from ..stages.dedup import connected_components, verified_neardup_pairs
 
     # fail FAST and clearly on non-integer ids: the minhash chain
     # (band explode, pair keys, component labels) is int64 end-to-end,
@@ -137,19 +123,6 @@ def _drop_ids_minhash(docs, id_column: str, text_column: str, threshold: float,
     def rename(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t[id_column], "text": t[text_column]})
 
-    named = docs.map_batches(rename, batch_format="pyarrow")
-
-    # signatures run as plain tasks, not an actor pool: the materialized
-    # LSH outputs below keep their lineage, and lineage through actor
-    # tasks keeps those actors (and their CPUs) alive for the rest of
-    # this function, starving the text joins. Building a MinHasher is
-    # two 128-value RNG draws, so one per batch costs nothing.
-    def signatures(t: pa.Table) -> pa.Table:
-        return MinHasher(n_perm=n_perm, n_bands=n_bands, shingle_k=shingle_k)(t)
-
-    bands = named.map_batches(signatures, batch_format="pyarrow")
-    # materialized: the compact (a, b, n_dropped) pair stream feeds the
-    # truncation count AND the pair-dedup, so the LSH shuffle runs once
     # star edges (min_id -> member) per bucket: O(k) rows per bucket
     # instead of O(k^2) — the component stage only needs connectivity
     # that survives verification against the bucket representative, so
@@ -157,66 +130,14 @@ def _drop_ids_minhash(docs, id_column: str, text_column: str, threshold: float,
     # member failing the representative verify keeps its doc even if
     # it would have verified against another member (recall is set by
     # the banding either way; measured identical drops on the planted
-    # test corpora). Candidates come through the COARSE-bucket stream
-    # (one Ray dispatch per coarse bucket, not per LSH bucket — the
-    # per-tiny-group map_groups dispatch dominated this stage).
-    cand = lsh_candidate_pair_stream(bands, star=True, cap=bucket_cap,
-                                     est_rows=est_rows).materialize()
-    n_truncated = int(cand.sum("n_dropped") or 0)  # markers carry it; pairs add 0
-    if n_truncated:
-        logger.warning(
-            "dedup_corpus: %d doc-slot drops from hot LSH buckets — near-dup "
-            "recall reduced; raise bucket_cap (--minhash-bucket-cap) or "
-            "n_bands (--minhash-bands)", n_truncated,
-        )
-
-    def real_pairs(t: pa.Table) -> pa.Table:
-        kept = t.filter(pc.greater_equal(t["a"], 0))
-        return pa.table({"a": kept["a"], "b": kept["b"]})
-
-    # distinct pairs (a pair surfaces once per agreeing band): keyed
-    # aggregate, NOT a driver set — only compact (a, b) rows shuffle
-    pairs = (
-        cand.map_batches(real_pairs, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Min("a", alias_name="_x"))
-        .drop_columns(["_x"])
-        .materialize()
+    # test corpora).
+    edges, n_truncated, n_candidate_pairs = verified_neardup_pairs(
+        docs.map_batches(rename, batch_format="pyarrow"),
+        threshold=threshold, shingle_k=shingle_k, star=True, cap=bucket_cap,
+        est_rows=est_rows, n_perm=n_perm, n_bands=n_bands,
     )
-    n_candidate_pairs = pairs.count()
-    if n_candidate_pairs == 0:
+    if edges is None:
         return None, 0, 0, n_truncated, 0
-
-    # attach both texts with two bucketed shuffle joins (pairs ⋈ text
-    # on a, then on b) — the co-shuffle shape exact mode already uses;
-    # document text moves through each join once and never to the driver
-    def to_ta(t: pa.Table) -> pa.Table:
-        return t.rename_columns(
-            ["_text_a" if c == "text" else c for c in t.column_names]
-        )
-
-    def to_tb(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"], "_text_b": t["text"]})
-
-    j1 = bucketed_shuffle_join(
-        pairs, named, left_on="a", right_on="doc_id", est_rows=est_rows
-    ).map_batches(to_ta, batch_format="pyarrow")
-    j2 = bucketed_shuffle_join(
-        j1,
-        named.map_batches(to_tb, batch_format="pyarrow"),
-        left_on="b",
-        right_on="doc_id",
-        est_rows=est_rows,
-    )
-
-    def verify(t: pa.Table) -> pa.Table:
-        keep = pair_jaccard(
-            t["_text_a"].to_pandas(), t["_text_b"].to_pandas(), k=shingle_k
-        ) >= threshold
-        kept = t.filter(pa.array(keep))
-        return pa.table({"a": kept["a"], "b": kept["b"]})
-
-    edges = j2.map_batches(verify, batch_format="pyarrow")
     labels = connected_components(edges, n_buckets=8)
     drop_ds = labels.map_batches(
         lambda t: pa.table(

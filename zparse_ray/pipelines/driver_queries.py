@@ -1615,11 +1615,10 @@ def _augmented_docs(sf_dir: str):
 
 def minhash_lsh_neardup(sf_dir: str):
     """MinHash+LSH near-dup, ORACLE-CHECKED via the TRUE-boolean
-    pattern (VERDICT r4 item 6; the hll/ann_ivf precedent), and
-    distributed end-to-end in the dedup_corpus shape: signatures →
-    band groupby → distinct candidate pairs (keyed aggregate) → texts
-    attached via two bucketed shuffle joins → vectorized exact-Jaccard
-    verify (``pair_jaccard``) ≥ 0.8. No driver pair set or text dict.
+    pattern (VERDICT r4 item 6; the hll/ann_ivf precedent). The pair
+    set is the engine's own near-dup chain, ``verified_neardup_pairs``
+    (the one ``dedup_corpus`` runs, here in all-pairs mode) at
+    Jaccard ≥ 0.8 over the augmented corpus; the facets below check it.
 
     Facets: ``n_planted`` is SQL-reproducible (docs with doc_id < 50
     and ≥ 64 whitespace tokens — the one-word-drop mutation keeps
@@ -1630,77 +1629,14 @@ def minhash_lsh_neardup(sf_dir: str):
     ``precision_ok`` re-verifies every emitted pair on the driver with
     the INDEPENDENT per-row shingles()/jaccard() implementation over a
     bounded text recompute (parquet isin fetch + the deterministic
-    mutation) — the two Jaccard code paths must agree."""
-    import pyarrow.parquet as pq
-    import ray
-    from ray.data.aggregate import Min
-
-    from ..stages.dedup import (
-        MinHasher,
-        jaccard,
-        lsh_candidate_pair_stream,
-        pair_jaccard,
-        shingles,
-    )
-    from ..stages.joins import bucketed_shuffle_join
+    mutation) — the two Jaccard code paths must agree, and no hot
+    bucket may have been truncated."""
+    from ..stages.dedup import jaccard, shingles, verified_neardup_pairs
     from ..stages.textops import _NONWS
 
-    docs = _augmented_docs(sf_dir)
-    # a task, not an actor pool: lineage from the materialized pairs
-    # would keep pool actors (and their CPUs) through the text joins
-    bands = docs.map_batches(lambda t: MinHasher()(t), batch_format="pyarrow")
-    cand = lsh_candidate_pair_stream(bands).materialize()
-    n_truncated = int(cand.sum("n_dropped") or 0)
-    if n_truncated:
-        import logging
-
-        logging.getLogger("zparse_ray.dedup").warning(
-            "minhash_lsh_neardup: %d doc-slot drops from hot LSH buckets — "
-            "near-dup recall reduced", n_truncated,
-        )
-
-    def real_pairs(t: pa.Table) -> pa.Table:
-        kept = t.filter(pc.greater_equal(t["a"], 0))
-        return pa.table({"a": kept["a"], "b": kept["b"]})
-
-    pairs = (
-        cand.map_batches(real_pairs, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Min("a", alias_name="_x"))
-        .drop_columns(["_x"])
-        .materialize()
-    )
-
-    found: set[tuple[int, int]] = set()
-    if pairs.count():
-        def to_ta(t: pa.Table) -> pa.Table:
-            return t.rename_columns(
-                ["_text_a" if c == "text" else c for c in t.column_names]
-            )
-
-        def to_tb(t: pa.Table) -> pa.Table:
-            return pa.table({"doc_id": t["doc_id"], "_text_b": t["text"]})
-
-        j1 = bucketed_shuffle_join(
-            pairs, docs, left_on="a", right_on="doc_id"
-        ).map_batches(to_ta, batch_format="pyarrow")
-        j2 = bucketed_shuffle_join(
-            j1, docs.map_batches(to_tb, batch_format="pyarrow"),
-            left_on="b", right_on="doc_id",
-        )
-
-        def verify(t: pa.Table) -> pa.Table:
-            keep = pair_jaccard(
-                t["_text_a"].to_pandas(), t["_text_b"].to_pandas()
-            ) >= 0.8
-            kept = t.filter(pa.array(keep))
-            return pa.table({"a": kept["a"], "b": kept["b"]})
-
-        # the verified near-dup pair set is tiny by contract
-        found = {
-            (int(r["a"]), int(r["b"]))
-            for r in j2.map_batches(verify, batch_format="pyarrow").take_all()
-        }
+    edges, n_truncated, _ = verified_neardup_pairs(_augmented_docs(sf_dir), threshold=0.8)
+    # the verified near-dup pair set is tiny by contract
+    found = set() if edges is None else {(int(r["a"]), int(r["b"])) for r in edges.take_all()}
 
     # planted set + recall (seed read is a bounded parquet row filter)
     seed = pq.read_table(

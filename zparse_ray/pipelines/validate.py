@@ -45,7 +45,7 @@ from ..functions.sketches import TDigest, hash64
 from ..schema import VERDICTS_SCHEMA, VIOLATIONS_SCHEMA
 from ..stages.joins import ROWS_PER_BUCKET, _bucket_of, _warn_if_hot
 from ..stages.spancheck import _PART_RE, PARTIALS_SCHEMA, read_parquet_file
-from ..state.checkpoint import Manifest, clean_stale_outputs
+from ..state.checkpoint import Manifest, clean_stale_outputs, sink_pid
 
 
 @functools.cache
@@ -209,9 +209,13 @@ def run_validation(
     _t = _time.time()
     cpu0 = _time.thread_time()  # the driver's own CPU in phase 1
     manifest = Manifest(os.path.join(out_dir, "manifest.json"))
-    committed = manifest.committed if resume else set()
+    present = set(pid_of.values())
+    # an entry holds only while its input file exists, and none holds
+    # without resume; every partition not committed loses its sink files
+    manifest.drop(manifest.committed - present if resume else manifest.committed)
+    committed = manifest.committed
+    clean_stale_outputs(out_dir, committed)
     todo = [f for f in files if pid_of[f] not in committed]
-    clean_stale_outputs(out_dir, {pid_of[f] for f in todo})
 
     # ------------------------------------------------------------------
     # phase 1: one task per uncommitted partition file; the driver
@@ -264,7 +268,7 @@ def run_validation(
                     continue
                 failed[f] = RuntimeError(f"{info['n_docs']} docs, footer: {expected.get(pid)}")
             # a failed partition leaves no sink files behind
-            clean_stale_outputs(out_dir, {pid})
+            clean_stale_outputs(out_dir, present - {pid})
         timings["phase1"] = round(_time.time() - _t, 3)
         timings["phase1_driver_cpu_s"] = round(_time.thread_time() - cpu0, 3)
         _t = _time.time()
@@ -280,7 +284,11 @@ def run_validation(
     vdir = os.path.join(out_dir, "violations")
     for f in glob.glob(os.path.join(vdir, "dups*.parquet")) + glob.glob(os.path.join(vdir, "drift.parquet")):
         os.remove(f)
-    meta_files = sorted(glob.glob(os.path.join(out_dir, "docmeta", "part-*.parquet")))
+    committed = manifest.committed
+    meta_files = sorted(
+        f for f in glob.glob(os.path.join(out_dir, "docmeta", "part-*.parquet"))
+        if sink_pid(os.path.basename(f)) in committed
+    )
     n_meta = sum(expected.values())  # phase 1 checked docmeta's rows against these
     if not meta_files:
         dup_results = []

@@ -9,7 +9,7 @@ Ray-Data-first shapes:
 - MinHash+LSH: shingle -> minhash signature per batch (numpy matrix
   ops) -> explode to (band_id, band_hash, doc_id) rows ->
   ``groupby(band)`` -> candidate pairs -> verify exact Jaccard on the
-  candidates only
+  candidates only (``verified_neardup_pairs`` is this whole chain)
 - SimHash: 64-bit hyperplane-free simhash of token hashes; near-dups
   share the same value or differ in <= k bits (bucket by value here)
 - n-gram Jaccard: exact verification kernel used on LSH candidates
@@ -21,6 +21,7 @@ All heavy math is numpy per batch; shuffles move only compact
 
 from __future__ import annotations
 
+import logging
 import re
 
 import numpy as np
@@ -32,6 +33,7 @@ from ..functions.sketches import hash64
 from .textops import arrow_text_series
 
 _TOKEN = re.compile(r"\w+")
+logger = logging.getLogger("zparse_ray.dedup")
 
 
 def content_hash_batch(batch: pa.Table, column: str = "text") -> pa.Table:
@@ -276,6 +278,39 @@ def lsh_bucket_of(band_id: np.ndarray, band_hash: np.ndarray, n_buckets: int) ->
     return (hash64(mixed, seed=7) % np.uint64(n_buckets)).astype(np.int32)
 
 
+def _bucket_segments(group: pd.DataFrame, key_col: str, *extra: str):
+    """The prelude both coarse-bucket kernels share: rows sorted by
+    (band_id, ``key_col``, doc_id), duplicate (bucket, doc) rows dropped
+    (``np.unique`` parity with the per-bucket kernels), and the bucket
+    segments found. Returns ``(ids, extras, starts, counts)``: the
+    sorted int64 doc ids, the ``extra`` columns in the same order, and
+    each segment's first row and length."""
+    band = group["band_id"].to_numpy().astype(np.int64)
+    key = group[key_col].to_numpy().astype(np.int64)
+    ids = group["doc_id"].to_numpy().astype(np.int64)
+    order = np.lexsort((ids, key, band))
+    band, key, ids = band[order], key[order], ids[order]
+    # a dropped row repeats the row before it, so a kept row starts a
+    # segment iff its bucket differs from the row right before it
+    seg = np.ones(len(ids), bool)
+    seg[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
+    keep = seg.copy()
+    keep[1:] |= ids[1:] != ids[:-1]
+    seg = seg[keep]
+    extras = [group[c].to_numpy().astype(np.int64)[order][keep] for c in extra]
+    starts = np.flatnonzero(seg)
+    return ids[keep], extras, starts, np.diff(np.append(starts, len(seg)))
+
+
+def _with_markers(cols: dict, dropped: np.ndarray) -> pd.DataFrame:
+    """Pair rows plus one ``-1`` marker row per capped bucket, whose
+    ``n_dropped`` carries the bucket's truncation (pair rows carry 0)."""
+    n = len(dropped)
+    out = {c: np.append(v, np.full(n, -1, np.int64)) for c, v in cols.items()}
+    out["n_dropped"] = np.append(np.zeros(len(cols["a"]), np.int64), dropped.astype(np.int64))
+    return pd.DataFrame(out)
+
+
 def lsh_candidate_pairs_batched(group: pd.DataFrame, *, star: bool = False,
                                 cap: int = 64) -> pd.DataFrame:
     """Coarse-bucket candidate generation: ONE callback processes MANY
@@ -288,24 +323,7 @@ def lsh_candidate_pairs_batched(group: pd.DataFrame, *, star: bool = False,
     per-group overhead). Emits exactly the union of
     ``lsh_candidate_pairs`` over the contained buckets (equivalence
     pinned by test), markers included."""
-    band = group["band_id"].to_numpy().astype(np.int64)
-    bh = group["band_hash"].to_numpy().astype(np.int64)
-    ids = group["doc_id"].to_numpy().astype(np.int64)
-    if len(ids) == 0:
-        return pd.DataFrame({"a": [], "b": [], "n_dropped": []})
-    order = np.lexsort((ids, bh, band))
-    band, bh, ids = band[order], bh[order], ids[order]
-    # drop duplicate (bucket, id) rows (np.unique parity with the
-    # per-group kernel), then find bucket segments
-    keep = np.empty(len(ids), bool)
-    keep[0] = True
-    keep[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1]) | (ids[1:] != ids[:-1])
-    band, bh, ids = band[keep], bh[keep], ids[keep]
-    seg = np.empty(len(ids), bool)
-    seg[0] = True
-    seg[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
-    starts = np.flatnonzero(seg)
-    counts = np.diff(np.append(starts, len(ids)))
+    ids, _, starts, counts = _bucket_segments(group, "band_hash")
     multi = counts >= 2
     if not multi.any():
         return pd.DataFrame({"a": [], "b": [], "n_dropped": []})
@@ -318,51 +336,117 @@ def lsh_candidate_pairs_batched(group: pd.DataFrame, *, star: bool = False,
         a = np.repeat(ids[s2], n_b)
         within = np.arange(int(n_b.sum())) - np.repeat(np.cumsum(n_b) - n_b, n_b)
         b = ids[np.repeat(s2, n_b) + 1 + within]
-        nd = np.zeros(len(a), dtype=np.int64)
     else:
-        a_parts, b_parts = [], []
-        for st, k in zip(s2, kept):
-            ii, jj = np.triu_indices(int(k), k=1)
-            a_parts.append(ids[st + ii])
-            b_parts.append(ids[st + jj])
-        a = np.concatenate(a_parts)
-        b = np.concatenate(b_parts)
-        nd = np.zeros(len(a), dtype=np.int64)
-    n_marks = int((dropped > 0).sum())
-    if n_marks:
-        a = np.append(a, np.full(n_marks, -1, np.int64))
-        b = np.append(b, np.full(n_marks, -1, np.int64))
-        nd = np.append(nd, dropped[dropped > 0])
-    return pd.DataFrame({"a": a, "b": b, "n_dropped": nd})
+        tri = [np.triu_indices(int(k), k=1) for k in kept]
+        a = np.concatenate([ids[st + ii] for st, (ii, _) in zip(s2, tri)])
+        b = np.concatenate([ids[st + jj] for st, (_, jj) in zip(s2, tri)])
+    return _with_markers({"a": a, "b": b}, dropped[dropped > 0])
+
+
+def _coarse_bucket_stream(ds, key_col: str, kernel, est_rows, n_buckets):
+    """Candidate-pair Dataset from a (doc_id, band_id, ``key_col``, ...)
+    band stream: every row of one (band_id, key) bucket goes to one
+    coarse bucket, and ``kernel`` runs once per coarse bucket — one
+    shuffle, O(coarse buckets) Python dispatches instead of O(buckets)."""
+    from .joins import resolve_n_buckets
+
+    nb = resolve_n_buckets(est_rows, n_buckets)
+
+    def add_cb(t: pa.Table) -> pa.Table:
+        cb = lsh_bucket_of(t["band_id"].to_numpy().astype(np.int64), t[key_col].to_numpy(), nb)
+        return t.append_column("__cb", pa.array(cb, pa.int32()))
+
+    return (
+        ds.map_batches(add_cb, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("__cb")
+        .map_groups(kernel, batch_format="pandas")
+    )
 
 
 def lsh_candidate_pair_stream(bands, *, star: bool = False, cap: int = 64,
                               est_rows: int | None = None,
                               n_buckets: int | None = None):
     """The candidate-pair Dataset from a (doc_id, band_id, band_hash)
-    band stream: coarse-bucket co-location + the batched kernel —
-    one shuffle, O(coarse buckets) Python dispatches instead of
-    O(LSH buckets)."""
-    from .joins import resolve_n_buckets
-
-    nb = resolve_n_buckets(est_rows, n_buckets)
-
-    def add_cb(t: pa.Table) -> pa.Table:
-        cb = lsh_bucket_of(
-            t["band_id"].to_numpy().astype(np.int64),
-            t["band_hash"].to_numpy(),
-            nb,
-        )
-        return t.append_column("__cb", pa.array(cb, pa.int32()))
-
-    return (
-        bands.map_batches(add_cb, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__cb")
-        .map_groups(
-            lambda g: lsh_candidate_pairs_batched(g, star=star, cap=cap),
-            batch_format="pandas",
-        )
+    band stream: coarse-bucket co-location + the batched kernel."""
+    return _coarse_bucket_stream(
+        bands, "band_hash",
+        lambda g: lsh_candidate_pairs_batched(g, star=star, cap=cap),
+        est_rows, n_buckets,
     )
+
+
+def verified_neardup_pairs(named_docs, *, threshold: float = 0.8, shingle_k: int = 5,
+                           star: bool = False, cap: int = 64, est_rows: int | None = None,
+                           n_perm: int = 128, n_bands: int = 16):
+    """The near-dup chain over a (doc_id int64, text) Dataset: MinHash
+    signatures -> coarse-bucket LSH candidates (``star`` and ``cap`` as
+    in ``lsh_candidate_pairs``) -> distinct (a, b) pairs -> both texts
+    attached by two bucketed shuffle joins -> exact shingle Jaccard
+    (``pair_jaccard``) >= ``threshold``. Every step is distributed: no
+    pair set or text reaches the driver.
+
+    Returns ``(edges, n_truncated, n_candidate_pairs)``: ``edges`` is
+    the lazy Dataset of verified (a, b) pairs with a < b, or None when
+    no candidate pair exists; ``n_truncated`` sums the hot-bucket
+    truncation markers (a warning is logged when it is not 0)."""
+    from ray.data.aggregate import Min
+
+    from .joins import bucketed_shuffle_join
+
+    # signatures run as plain tasks, not an actor pool: the materialized
+    # LSH outputs below keep their lineage, and lineage through actor
+    # tasks keeps those actors (and their CPUs) alive through the text
+    # joins. Building a MinHasher is two 128-value RNG draws.
+    def signatures(t: pa.Table) -> pa.Table:
+        return MinHasher(n_perm=n_perm, n_bands=n_bands, shingle_k=shingle_k)(t)
+
+    bands = named_docs.map_batches(signatures, batch_format="pyarrow")
+    # materialized: the pair stream feeds the truncation count AND the
+    # pair dedup, so the LSH shuffle runs once
+    cand = lsh_candidate_pair_stream(bands, star=star, cap=cap, est_rows=est_rows).materialize()
+    n_truncated = int(cand.sum("n_dropped") or 0)  # markers carry it; pairs add 0
+    if n_truncated:
+        logger.warning(
+            "%d doc-slot drops from hot LSH buckets — near-dup recall reduced; "
+            "raise the bucket cap or n_bands", n_truncated,
+        )
+
+    def real_pairs(t: pa.Table) -> pa.Table:
+        kept = t.filter(pc.greater_equal(t["a"], 0))
+        return pa.table({"a": kept["a"], "b": kept["b"]})
+
+    # distinct pairs (a pair surfaces once per agreeing band): keyed
+    # aggregate, NOT a driver set — only compact (a, b) rows shuffle
+    pairs = (
+        cand.map_batches(real_pairs, batch_format="pyarrow")
+        .groupby(["a", "b"])
+        .aggregate(Min("a", alias_name="_x"))
+        .drop_columns(["_x"])
+        .materialize()
+    )
+    n_candidate_pairs = pairs.count()
+    if n_candidate_pairs == 0:
+        return None, n_truncated, 0
+
+    def text_as(col: str):
+        return lambda t: pa.table({"doc_id": t["doc_id"], col: t["text"]})
+
+    # pairs ⋈ text on a, then on b: each text moves through a join once
+    joined = pairs
+    for key, col in (("a", "_text_a"), ("b", "_text_b")):
+        joined = bucketed_shuffle_join(
+            joined, named_docs.map_batches(text_as(col), batch_format="pyarrow"),
+            left_on=key, right_on="doc_id", est_rows=est_rows,
+        )
+
+    def verify(t: pa.Table) -> pa.Table:
+        keep = pair_jaccard(
+            t["_text_a"].to_pandas(), t["_text_b"].to_pandas(), k=shingle_k
+        ) >= threshold
+        kept = t.filter(pa.array(keep))
+        return pa.table({"a": kept["a"], "b": kept["b"]})
+
+    return joined.map_batches(verify, batch_format="pyarrow"), n_truncated, n_candidate_pairs
 
 
 class SimHasher:
@@ -587,30 +671,12 @@ def simhash_candidate_pairs_batched(group: pd.DataFrame, *, max_hamming: int = 3
     many (band_id, band_bits) buckets; segments recovered with one
     lexsort, exact-hamming verify vectorized per segment. Emits the
     union of the per-bucket kernel's outputs, markers included."""
-    band = group["band_id"].to_numpy().astype(np.int64)
-    bits = group["band_bits"].to_numpy().astype(np.int64)
-    ids = group["doc_id"].to_numpy().astype(np.int64)
-    sims = group["simhash"].to_numpy().astype(np.int64)
-    if len(ids) == 0:
-        return pd.DataFrame({"a": [], "b": [], "hamming": [], "n_dropped": []})
-    order = np.lexsort((ids, bits, band))
-    band, bits, ids, sims = band[order], bits[order], ids[order], sims[order]
-    keep = np.empty(len(ids), bool)
-    keep[0] = True
-    keep[1:] = (band[1:] != band[:-1]) | (bits[1:] != bits[:-1]) | (ids[1:] != ids[:-1])
-    band, bits, ids, sims = band[keep], bits[keep], ids[keep], sims[keep]
-    seg = np.empty(len(ids), bool)
-    seg[0] = True
-    seg[1:] = (band[1:] != band[:-1]) | (bits[1:] != bits[:-1])
-    starts = np.flatnonzero(seg)
-    counts = np.diff(np.append(starts, len(ids)))
-    a_p, b_p, h_p, drops = [], [], [], []
+    ids, (sims,), starts, counts = _bucket_segments(group, "band_bits", "simhash")
+    a_p, b_p, h_p = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for st, c in zip(starts, counts):
         if c < 2:
             continue
         k = min(int(c), cap)
-        if c > cap:
-            drops.append(int(c - cap))
         sid = ids[st:st + k]
         ssim = sims[st:st + k].astype(np.uint64)
         ii, jj = np.triu_indices(k, k=1)
@@ -623,16 +689,11 @@ def simhash_candidate_pairs_batched(group: pd.DataFrame, *, max_hamming: int = 3
         a_p.append(sid[ii[m]])
         b_p.append(sid[jj[m]])
         h_p.append(ham[m])
-    a = np.concatenate(a_p) if a_p else np.empty(0, np.int64)
-    b = np.concatenate(b_p) if b_p else np.empty(0, np.int64)
-    h = np.concatenate(h_p) if h_p else np.empty(0, np.int64)
-    nd = np.zeros(len(a), dtype=np.int64)
-    if drops:
-        a = np.append(a, np.full(len(drops), -1, np.int64))
-        b = np.append(b, np.full(len(drops), -1, np.int64))
-        h = np.append(h, np.full(len(drops), -1, np.int64))
-        nd = np.append(nd, np.asarray(drops, np.int64))
-    return pd.DataFrame({"a": a, "b": b, "hamming": h, "n_dropped": nd})
+    dropped = counts[counts > cap] - cap
+    return _with_markers(
+        {"a": np.concatenate(a_p), "b": np.concatenate(b_p), "hamming": np.concatenate(h_p)},
+        dropped,
+    )
 
 
 def simhash_candidate_pair_stream(exploded, *, max_hamming: int = 3, cap: int = 64,
@@ -640,27 +701,10 @@ def simhash_candidate_pair_stream(exploded, *, max_hamming: int = 3, cap: int = 
                                   n_buckets: int | None = None):
     """Candidate-pair Dataset from a ``simhash_band_explode`` stream:
     coarse-bucket co-location + the batched hamming kernel."""
-    from .joins import resolve_n_buckets
-
-    nb = resolve_n_buckets(est_rows, n_buckets)
-
-    def add_cb(t: pa.Table) -> pa.Table:
-        cb = lsh_bucket_of(
-            t["band_id"].to_numpy().astype(np.int64),
-            t["band_bits"].to_numpy(),
-            nb,
-        )
-        return t.append_column("__cb", pa.array(cb, pa.int32()))
-
-    return (
-        exploded.map_batches(add_cb, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__cb")
-        .map_groups(
-            lambda g: simhash_candidate_pairs_batched(
-                g, max_hamming=max_hamming, cap=cap
-            ),
-            batch_format="pandas",
-        )
+    return _coarse_bucket_stream(
+        exploded, "band_bits",
+        lambda g: simhash_candidate_pairs_batched(g, max_hamming=max_hamming, cap=cap),
+        est_rows, n_buckets,
     )
 
 

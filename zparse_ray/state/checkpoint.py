@@ -5,8 +5,12 @@ manifest the moment all of its rows have streamed through the validator
 (the driver tracks expected-vs-seen doc counts per partition from
 parquet footers). A killed run restarts at the last committed
 partition: committed partitions' outputs (violations/docmeta/partials
-parquet) are kept and their input files are not re-read; uncommitted
-partitions' stale outputs are deleted before re-processing.
+parquet) are kept and their input files are not re-read; every other
+partition's sink files are deleted before re-processing. An entry holds
+only while its input file exists: at plan time the entries of removed
+files are dropped, with their sink files, and a run without resume
+drops every entry. A kept entry is trusted as is: resume assumes a
+partition file is never rewritten in place.
 
 Each entry holds the partition's verdict fields (doc, span and
 violation counts, failed checks), so the verdicts are built from the
@@ -38,6 +42,18 @@ class Manifest:
 
     def commit(self, pid: int, info: dict) -> None:
         self.data["partitions"][str(pid)] = {**info, "committed_at": time.time()}
+        self._write()
+
+    def drop(self, pids) -> None:
+        """Forget the entries of ``pids``; rewrites the file only if one
+        of them was committed."""
+        gone = [k for k in map(str, pids) if k in self.data["partitions"]]
+        for k in gone:
+            del self.data["partitions"][k]
+        if gone:
+            self._write()
+
+    def _write(self) -> None:
         tmp = self.path + ".tmp"
         with open(tmp, "w") as f:
             f.write(json.dumps(self.data))  # C encoder; json.dump iterates in Python
@@ -47,22 +63,28 @@ class Manifest:
         return self.data["partitions"][str(pid)]
 
 
-def clean_stale_outputs(out_dir: str, uncommitted: set[int]) -> int:
-    """Delete partial outputs of partitions that never committed
-    (leftovers of a killed run)."""
+def sink_pid(name: str) -> int | None:
+    """The partition id in a ``part-<pid>[-<tag>].parquet`` sink file
+    name, or None for any other name."""
+    if not name.startswith("part-"):
+        return None
+    try:
+        return int(name.split("-")[1].split(".")[0])
+    except ValueError:
+        return None
+
+
+def clean_stale_outputs(out_dir: str, keep: set[int]) -> int:
+    """Delete the sink files of every partition not in ``keep``: the
+    leftovers of a killed or failed run, and of removed input files."""
     removed = 0
     for sub in ("violations", "docmeta", "partials", "quarantine"):
         d = os.path.join(out_dir, sub)
         if not os.path.isdir(d):
             continue
         for name in os.listdir(d):
-            if not name.startswith("part-"):
-                continue
-            try:
-                pid = int(name.split("-")[1].split(".")[0])
-            except ValueError:
-                continue
-            if pid in uncommitted:
+            pid = sink_pid(name)
+            if pid is not None and pid not in keep:
                 os.remove(os.path.join(d, name))
                 removed += 1
     return removed

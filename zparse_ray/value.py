@@ -57,25 +57,6 @@ class TomlDatetime:
         return self.text
 
 
-def type_tag(v: Value) -> str:
-    """Variant tag for per-column type histograms (SURVEY §1.2)."""
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, float):
-        return "number"
-    if isinstance(v, str):
-        return "string"
-    if isinstance(v, list):
-        return "array"
-    if isinstance(v, dict):
-        return "object"
-    if isinstance(v, TomlDatetime):
-        return "datetime"
-    raise TypeError(f"not a Value: {type(v)!r}")
-
-
 def values_equal(a: Value, b: Value, *, rel_tol: float = 1e-9, abs_tol: float = 1e-9) -> bool:
     """Deep equality with float tolerance, mirroring the reference's
     property-test comparator (tests/property_tests.rs:159-219): NaNs are
