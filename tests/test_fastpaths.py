@@ -8,6 +8,10 @@ property tests below generate grammar-relevant garbage, quote-, tag-,
 bracket- and indent-heavy text and one-char mutations of valid synth
 payloads, and pin the hand-picked inputs that sit on either side of each
 guard or subset boundary.
+
+The column accept masks (``accept_mask_csv`` / ``_toml`` / ``_yaml``) run
+on the same inputs: a span a mask accepts must pass its checker and parse
+with the exact parser.
 """
 
 import csv
@@ -16,12 +20,13 @@ import sys
 from xml.parsers.expat import ParserCreate
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zparse_ray.functions import csv_parser, json_parser, toml_parser, xml_parser, yaml_parser
-from zparse_ray.functions.csv_parser import CsvConfig, check_csv, parse_csv
+from zparse_ray.functions.csv_parser import CsvConfig, accept_mask_csv, check_csv, parse_csv
 from zparse_ray.functions.errors import ParseError
 from zparse_ray.functions.json_parser import (
     JSONC_CONFIG,
@@ -31,9 +36,9 @@ from zparse_ray.functions.json_parser import (
     parse_json,
     parse_jsonc,
 )
-from zparse_ray.functions.toml_parser import TomlConfig, check_toml, parse_toml
+from zparse_ray.functions.toml_parser import TomlConfig, accept_mask_toml, check_toml, parse_toml
 from zparse_ray.functions.xml_parser import XmlConfig, check_xml, parse_xml
-from zparse_ray.functions.yaml_parser import YamlConfig, check_yaml, parse_yaml
+from zparse_ray.functions.yaml_parser import YamlConfig, accept_mask_yaml, check_yaml, parse_yaml
 from zparse_ray.synth import _INVALID_MENU, _valid_payload
 
 from test_fuzz import _grammar_text
@@ -51,9 +56,30 @@ def _outcome(fn, text, cfg=None):
     return None
 
 
+_MASKS = {
+    "csv": (accept_mask_csv, check_csv, parse_csv),
+    "toml": (accept_mask_toml, check_toml, parse_toml),
+    "yaml": (accept_mask_yaml, check_yaml, parse_yaml),
+}
+
+
+def mask_accepts(kind, texts, cfg=None):
+    """The mask's verdict per text, after checking that every accepted
+    text passes the checker and parses with the exact parser."""
+    mask, check, parse = _MASKS[kind]
+    got = mask(pa.array(texts, pa.string()), cfg)
+    assert got.dtype == bool and len(got) == len(texts)
+    for text, ok in zip(texts, got):
+        if ok:
+            assert _outcome(check, text, cfg) is None, (kind, text, cfg)
+            assert _outcome(parse, text, cfg) is None, (kind, text, cfg)
+    return got.tolist()
+
+
 def assert_csv_agrees(text, delimiter=","):
     cfg = CsvConfig(delimiter=delimiter)
     assert _outcome(check_csv, text, cfg) == _outcome(parse_csv, text, cfg), (text, delimiter)
+    mask_accepts("csv", [text], cfg)
 
 
 def assert_xml_agrees(text, cfg=None):
@@ -62,10 +88,12 @@ def assert_xml_agrees(text, cfg=None):
 
 def assert_toml_agrees(text, cfg=None):
     assert _outcome(check_toml, text, cfg) == _outcome(parse_toml, text, cfg), (text, cfg)
+    mask_accepts("toml", [text], cfg)
 
 
 def assert_yaml_agrees(text, cfg=None):
     assert _outcome(check_yaml, text, cfg) == _outcome(parse_yaml, text, cfg), (text, cfg)
+    mask_accepts("yaml", [text], cfg)
 
 
 def assert_reaches_exact(monkeypatch, module, name, check, text, cfg=None):
@@ -576,10 +604,15 @@ def test_span_validator_fast_and_exact_walks_identical(monkeypatch, tmp_path):
         return partials, pq.read_table(viol_file)
 
     fast = run(tmp_path / "fast")
+    # the masks accept nothing: every span takes the checkers' walk
+    for kind in S._ACCEPT_MASKS:
+        monkeypatch.setitem(S._ACCEPT_MASKS, kind, lambda texts, cfg: np.zeros(len(texts), bool))
+    unmasked = run(tmp_path / "unmasked")
     monkeypatch.setattr(S, "_CHECKERS", S._PARSERS)
     exact = run(tmp_path / "exact")
-    assert fast[0].equals(exact[0])
-    assert fast[1].equals(exact[1])
+    for other in (unmasked, exact):
+        assert fast[0].equals(other[0])
+        assert fast[1].equals(other[1])
     checks = set(fast[1]["check_id"].to_pylist())
     assert fast[1].num_rows > 0 and "InvalidToken" in checks
 
@@ -786,3 +819,236 @@ def test_json_parser_configs_through_validate_payloads(monkeypatch):
             assert rows[i] == "MaxDepthExceeded"
         elif text.startswith(("[[[1]]]", "[1, //")):  # within depth; comment + trailing comma
             assert i not in rows
+
+
+# -- column accept masks ----------------------------------------------------
+
+_UNICODE_SPACES = ["\x85", "\xa0", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+def _mask_column(kind, rng, n, alphabet, cfg=None):
+    """``n`` valid synth payloads of ``kind``, about half of them with up
+    to three one-char mutations, in one column."""
+    texts = []
+    for _ in range(n):
+        text = _valid_payload(kind, rng)
+        for _ in range(rng.randrange(4) if rng.random() < 0.5 else 0):
+            text = _mutate(text, rng, alphabet)
+        texts.append(text)
+    return texts
+
+
+@pytest.mark.parametrize(
+    "kind,alphabet,cfgs",
+    [
+        ("csv", '",; \t|\n\r\x0ca1\x1c\x85', [CsvConfig(delimiter=d) for d in DELIMITERS]),
+        ("toml", "\"'[]{}=,.#\n\r\t -+_019eEtfk:TZ\\\x00", _TOML_CFGS),
+        ("yaml", "\"'[]{}:,#\n\r\t -+_01k\\\x85\u3000", _YAML_CFGS),
+    ],
+)
+def test_masks_on_whole_columns(kind, alphabet, cfgs):
+    # one call per column, as phase 1 makes it: accepted spans sit next to
+    # rejected ones in the same buffers
+    rng = random.Random(29)
+    for cfg in cfgs:
+        texts = _mask_column(kind, rng, 600, alphabet, cfg)
+        if kind == "csv" and cfg.delimiter != ",":
+            texts = [t.replace(",", cfg.delimiter) for t in texts]
+        got = mask_accepts(kind, texts, cfg)
+        assert sum(got) > 50, (kind, cfg)
+
+
+def test_masks_accept_valid_synth_payloads():
+    # every valid synth payload is accepted, so phase 1 walks none of them
+    rng = random.Random(7)
+    for kind in _MASKS:
+        texts = [_valid_payload(kind, rng) for _ in range(300)]
+        assert all(mask_accepts(kind, texts)), kind
+
+
+def test_mask_configs_and_delimiters():
+    # max_size at its boundary; the level cap min(2, max_depth); the
+    # delimiter's own shape; a bad delimiter accepts nothing
+    assert mask_accepts("toml", ['a = "' + "x" * 10 + '"', 'a = "' + "x" * 11 + '"', 'a = "' + "é" * 6 + '"'],
+                        TomlConfig(max_size=16)) == [True, False, False]
+    assert mask_accepts("csv", ["a\n" + "x" * 14, "a\n" + "x" * 15], CsvConfig(max_size=16)) == [True, False]
+    for cfg in _TOML_CFGS:
+        got = mask_accepts("toml", ["a = 1", "a = [1]", "a = [[1]]", "a = {b = [1]}", "a = [[[1]]]"], cfg)
+        levels = 1 if cfg is not None and cfg.max_depth == 1 else 2
+        assert got == [d <= levels for d in (0, 1, 2, 2, 3)], cfg
+    for cfg in _YAML_CFGS:
+        got = mask_accepts("yaml", ["a: 1", "a:\n  b: 1", "a:\n  b:\n    c: 1"], cfg)
+        levels = 2 if cfg is None or cfg.max_depth in (0, 2) else cfg.max_depth
+        assert got == [n <= levels for n in (1, 2, 3)], cfg
+    for d in DELIMITERS:
+        texts = [f'a{d}b\n"x{d}y"{d}"q""q"', f'a{d}b\n"x"z{d}1', f'a{d}b\n"x" {d}1']
+        assert mask_accepts("csv", texts, CsvConfig(delimiter=d)) == [True, False, True], d
+    for d in ("\n", "\r", '"', ";;"):
+        assert mask_accepts("csv", ["a,b\n1,2"], CsvConfig(delimiter=d)) == [False]
+
+
+@pytest.mark.parametrize(
+    "text,accepted",
+    [
+        ("a,b\n1,2", True),
+        ('a\n"x, ""y"""\n', True),
+        ('a\n"x\ny"\r\n"z"\r', True),       # line breaks inside quotes; \r and \r\n records
+        ('a\n"x" \n', True),                # blanks after a closing quote
+        ('a\n"x"\t,1\n', True),
+        ('a\n"x\x00y"\n', True),
+        ('a\n"x\x85y"\n', True),
+        ("a\x1c\x1f\xa0\u2028,b\n1,2", True),  # no quote: valid whatever the bytes
+        ('"""', False),                     # unterminated
+        ('""1', False),                     # junk after a closing quote
+        ('a,b\n"x"y,2\n', False),
+        ('a,b\n"unterm\n', False),
+        ('a\x1c"x\n"\n', False),            # a quote inside an unquoted field
+        ('x"y', False),
+        ('"ab""', False),
+        ('a\n"x" y\n', False),
+        ('a\n"x"\x0b\n', False),            # \v is no blank after a quote
+    ],
+)
+def test_csv_mask_guard_cases(text, accepted):
+    assert mask_accepts("csv", [text]) == [accepted]
+    assert_csv_agrees(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a = 1\na = 2",                                 # a repeated key at depth 0
+        "a = {b = 1, b = 2}",                           # ... in an inline table (depth 1)
+        "a = {b = {c = 1, c = 2}}",                     # ... at depth 2
+        "a = [{b = 1, b = 2}]",
+        "a = [{b = 1}, {c = {d = 1, d = 2}}]",
+        "a = {b = 1}\nc = 2\na = 3",
+        'a = "x = {"\nb = {c = 1, c = 2}',              # '=' and '{' inside strings
+        'a = {b = "}", b = 1}',
+        "a = {k = 1, kk = 2, k = 3}",
+        "true = 1",                                     # bool keys: InvalidKey
+        "a = {false = 1}",
+        "a = 1\n\ta = 2",                               # tabs around keys
+        'a = """x"""',                                  # multi-line strings
+        'a = """',
+        'a = ""1',
+        "a = 1\r\nb = 2",
+        "a = \x00",
+        'a = "\x00"',
+        "a = 1234567890123456789",                      # 19 digits
+        "a = 9223372036854775808",
+        "a = [1 2]",
+        "a = [1,,]",
+        "a = [,]",
+        "a = {b = 1 c = 2}",
+        "a = {,}",
+        "a = [1]]",
+        "a = [[1]",
+        "a = {b = 1}}",
+        "a = [[[1]]]",                                  # past the two levels
+        "a = 1e5",
+        "a = 1.",
+        "a = +1",
+        'a = "\x85"\na = 1',
+        "k0 = {k0 = [\"\"]}\nk0 = 1",
+    ],
+)
+def test_toml_mask_steps_aside(text):
+    assert mask_accepts("toml", [text]) == [False]
+    assert_toml_agrees(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        'k0 = {k0 = [""]}',                             # one name in several scopes
+        "a = {a = {a = 1}, b = 2}\nb = {a = 1}",
+        "a = [{b = 1}, {b = 2}]",
+        "a = [1, 2,]\nb = {c = 1,}\nc = []\nd = {}",     # trailing commas, empty containers
+        '\t a\t=\t"x#y[z]={\'"  \n\n',
+        'a = "\x85\xa0\u2028\u3000\x1c\x1f"',
+        "a = 123456789012345678\nb = -1.5\nc = true\nd = false",
+        "k-1 = 1\ntrue-x = 2\ninf = 3\nk12 = 4\nfalse_ = 5\ntrues = 6",
+        "a = {" + ", ".join(f"k{i} = {i}" for i in range(40)) + "}",
+        "a_very_long_key_name_indeed = 1\nb_very_long_key_name_indeed = 2",
+    ],
+)
+def test_toml_mask_accepts_the_subset(text):
+    assert mask_accepts("toml", [text]) == [True]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a: 1\na: 2",                                   # a repeated key at the root
+        "a:\n  b: 1\n  b: 2",                           # ... in a child mapping
+        "a:\n  b: 1\nc:\n  d: 1\nc: 2",
+        "a: 1\n  b: 2",                                 # deeper under a scalar
+        "- 1\n  - 2",
+        "a:\n    b: 1\n  c: 2",                         # a dedent onto no level
+        "a:\n  - 1\n - 2",
+        "a:\n  - 1\n  b: 2",                            # keys and items in one level
+        "a: 1\n- 2",
+        "- 1\na: 2",
+        " a: 1",                                        # root not at indent 0
+        "a:\n  b:\n    c: 1",                           # past the two levels
+        "a:\n\tb: 1",                                   # tabs
+        "a:\t1",
+        "a: 1\r\nb: 2",
+        "a: x\x85",                                     # Python whitespace in a plain scalar
+        "a: \xa0",
+        "- \u2028",
+        "a: x\u3000y",
+        "a: x\x1cy",
+        "k: \u3000\n  a: 1",
+        "a: 'x'",
+        'a: "x\\ny"',
+        'a: "x',
+        "a: [1]",
+        "a: 1 # c",
+        "-",
+        "- k: v",
+        "a:x",
+        "hello",
+    ],
+)
+def test_yaml_mask_steps_aside(text):
+    assert mask_accepts("yaml", [text]) == [False]
+    assert_yaml_agrees(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n  \n",
+        "a: 1\nb:\nc: -2.5",
+        'a:\n  - 1\n  - x y\n  - "q: x"\nb:\n   c: null\n   d: ~',
+        "a:\n  a: 1\n  b: 2\nb:\n  a: 1",              # one key name in several mappings
+        "- a\n- -5\n-  b  ",
+        "k-1: x\ntrue: y\nnull: -x",
+        'a: "\x85\u3000 x"',
+        "a:\n\n  b: 1\n   \n  c: 2\nd: 3\n",
+        "a:\nb:\n  - 1\n",
+    ],
+)
+def test_yaml_mask_accepts_the_subset(text):
+    assert mask_accepts("yaml", [text]) == [True]
+
+
+def test_masks_read_spans_apart_in_one_column():
+    # each span's keys, quotes and lines are its own: a repeat across two
+    # spans is no repeat, and an odd quote in a rejected span does not
+    # shift the next span's strings
+    toml = ["a = 1", "a = 2", 'x = "unterm', 'b = "{", b2 = 1', "b = {c = 1}", "c = 1\nc = 2", ""]
+    assert mask_accepts("toml", toml) == [True, True, False, False, True, False, True]
+    yaml = ["a:", "  b: 1", "a: 1", "a:\n  b: 1\n", "  c: 2", "b: 1\nb: 2", ""]
+    assert mask_accepts("yaml", yaml) == [True, False, True, True, False, False, True]
+    # a sliced column and 64-bit offsets read the same spans
+    for kind, texts in (("toml", toml), ("yaml", yaml)):
+        mask = _MASKS[kind][0]
+        want = mask(pa.array(texts), None)
+        assert mask(pa.array(["x = 1\nx = 2"] + texts).slice(1), None).tolist() == want.tolist()
+        assert mask(pa.array(texts, pa.large_string()), None).tolist() == want.tolist()

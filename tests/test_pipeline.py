@@ -1448,6 +1448,87 @@ def test_removed_partition_leaves_the_output(ray_session, tmp_path, case):
     assert left == []
 
 
+def _write_plain(table, path):
+    # no compression, dictionary or statistics: the file size depends on
+    # the value lengths only, so a same-length edit keeps it
+    pq.write_table(table, path, compression="none", use_dictionary=False, write_statistics=False)
+
+
+def test_same_size_rewrite_is_validated_again(ray_session, tmp_path):
+    # a partition file rewritten in place with other docs, the same row
+    # count and the same size: a resume drops its manifest entry (the
+    # fingerprint's mtime_ns differs) and validates it again
+    import pyarrow as pa
+
+    src = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=5))
+    d = str(tmp_path / "in")
+    shutil.copytree(src, d)
+    path = os.path.join(d, "spans", "part-00001.parquet")
+    t = pq.read_table(path)
+    _write_plain(t, path)
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    before = os.stat(path)
+    # part 1 now repeats part 0's doc_ids (same length): DuplicateKey rows
+    ids = pq.read_table(os.path.join(d, "spans", "part-00000.parquet"))["doc_id"][: t.num_rows]
+    _write_plain(t.set_column(0, "doc_id", pa.chunked_array([ids])), path)
+    after = os.stat(path)
+    assert after.st_size == before.st_size
+    if after.st_mtime_ns == before.st_mtime_ns:  # a coarse file-system clock
+        os.utime(path, ns=(after.st_atime_ns, after.st_mtime_ns + 1_000_000_000))
+    run_validation(d, out, resume=True)
+    got = read_pipeline_outputs(out)
+    assert got == oracle_validate(d)
+    assert any(v["check_id"] == "DuplicateKey" for v in got[0])
+
+
+def test_added_partition_is_validated_on_resume(ray_session, tmp_path):
+    src = ensure_dataset(SynthConfig(n_docs=900, n_partitions=3, seed=7))
+    d = str(tmp_path / "in")
+    shutil.copytree(src, d)
+    extra = os.path.join(d, "spans", "part-00002.parquet")
+    held = str(tmp_path / "held.parquet")
+    shutil.move(extra, held)
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    shutil.move(held, extra)
+    run_validation(d, out, resume=True)
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+    assert set(json.load(open(os.path.join(out, "manifest.json")))["partitions"]) == {"0", "1", "2"}
+
+
+def test_entry_without_fingerprint_is_validated_again(ray_session, tmp_path):
+    # the rule for entries an older engine committed without an input
+    # fingerprint: nothing says which input they describe, so a resume
+    # drops them and validates their partitions again; the others stay
+    src = ensure_dataset(SynthConfig(n_docs=900, n_partitions=3, seed=53))
+    d = str(tmp_path / "in")
+    shutil.copytree(src, d)
+    out = str(tmp_path / "out")
+    run_validation(d, out)
+    mpath = os.path.join(out, "manifest.json")
+    m = json.load(open(mpath))
+    del m["partitions"]["1"]["input"]
+    json.dump(m, open(mpath, "w"))
+    run_validation(d, out, resume=True)
+    m2 = json.load(open(mpath))["partitions"]
+    assert "input" in m2["1"] and m2["1"]["committed_at"] > m["partitions"]["1"]["committed_at"]
+    assert [m2[k]["committed_at"] for k in ("0", "2")] == [m["partitions"][k]["committed_at"] for k in ("0", "2")]
+    assert read_pipeline_outputs(out) == oracle_validate(d)
+
+
+def test_phase1_split_timings(ray_session, tmp_path):
+    # the phase-1 tasks report their read / walk / sink seconds, which
+    # the driver sums into timings and keeps out of the manifest
+    d = ensure_dataset(SynthConfig(n_docs=600, n_partitions=3, seed=5))
+    out = str(tmp_path / "out")
+    t = run_validation(d, out)["timings"]
+    for k in ("phase1_read_s", "phase1_walk_s", "phase1_sink_s"):
+        assert t[k] > 0, k
+    for entry in json.load(open(os.path.join(out, "manifest.json")))["partitions"].values():
+        assert not {"read_s", "walk_s", "sink_s"} & set(entry)
+
+
 def test_manifest_entry_without_checks_failed(ray_session, tmp_path, monkeypatch):
     # an older engine committed n_docs/n_spans/n_violations only: phase
     # 2b reads that partition's partials file, and no other

@@ -6,6 +6,7 @@ name). Usage: python tools/check_queries.py [names...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -47,7 +48,8 @@ def main() -> int:
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
 
-    sys.path.insert(0, "/root/repo")
+    # this checkout's root, so a second checkout checks its own tree
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()

@@ -22,6 +22,9 @@ crates/zparse/src/csv/parser.rs, csv.rs:7-34):
   bytes input
 
 Result shape: Array of Objects, one per data record (parser.rs:119-148).
+
+Accept paths: ``check_csv`` says "valid" through ``csv.reader``, and
+``accept_mask_csv`` for a whole Arrow column at once, with one RE2 match.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ import re
 from functools import lru_cache as _lru_cache
 from dataclasses import dataclass
 
+import numpy as np
+import pyarrow as pa
+
+from .columnar import full_match, size_ok
 from .errors import INVALID_TOKEN, MAX_SIZE_EXCEEDED, ParseError
 
 DEFAULT_MAX_SIZE = 10 * 1024 * 1024
@@ -296,3 +303,32 @@ def parse_csv(text: str | bytes, config: CsvConfig | None = None) -> list:
                 obj[f"column_{i + 1}"] = vals[i]
         append(obj)
     return rows
+
+
+# -- column accept mask ---------------------------------------------------------
+def _re2_char(c: str) -> str:
+    return rf"\x{{{ord(c):x}}}"
+
+
+@_lru_cache(maxsize=16)
+def _csv_shape(delim: str) -> str:
+    """Records of fields split by the delimiter or a line break, where a
+    field holds no ``"`` or is quoted whole: ``"…"`` with ``""`` escapes,
+    then only the blanks the reference skips before the next delimiter,
+    line break or the end."""
+    d = _re2_char(delim)
+    blank = "".join(_re2_char(c) for c in " \t\x0c" if c != delim)
+    field = rf'(?:"(?:[^"]|"")*"[{blank}]*|[^"{d}\r\n]*)'
+    return rf"\A{field}(?:(?:{d}|\r\n?|\n){field})*\z"
+
+
+def accept_mask_csv(texts: pa.StringArray, config: CsvConfig | None = None) -> np.ndarray:
+    """Which spans of ``texts`` ``check_csv`` accepts, decided for the
+    whole column at once; a False says nothing (the span runs
+    ``check_csv``). A span is accepted if it fits ``max_size`` and has
+    no ``"`` (``check_csv``'s own rule) or every quoted field is quoted
+    whole; a bad delimiter accepts nothing."""
+    cfg = config or _DEFAULT_CONFIG
+    if cfg.delimiter in ("\n", "\r", '"') or len(cfg.delimiter) != 1:
+        return np.zeros(len(texts), bool)
+    return full_match(texts, _csv_shape(cfg.delimiter)) & size_ok(texts, cfg.max_size)

@@ -37,15 +37,32 @@ flat ``bare = value`` lines whose values are escape-free basic strings,
 decimal ints of at most 18 digits, plain decimals, bools, and
 single-line arrays / inline tables of those with distinct keys; any
 other text runs ``parse_toml``, so errors are always the parser's.
+``accept_mask_toml`` decides the same subset (nested at most two deep)
+for a whole Arrow column at once, with RE2 and numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from ..value import DT_DATE, DT_LOCAL, DT_OFFSET, DT_TIME, TomlDatetime
+from .columnar import (
+    byte_view,
+    full_match,
+    literal_hash,
+    range_hashes,
+    repeated,
+    size_ok,
+    skip_blanks,
+    span_of,
+)
 from .errors import (
     DUPLICATE_KEY,
     EXPECTED,
@@ -763,3 +780,93 @@ def check_toml(text: str, config: TomlConfig | None = None) -> None:
             if len(set(keys)) == len(keys):
                 return
     parse_toml(text, cfg)
+
+
+# -- column accept mask ---------------------------------------------------------
+# accept_mask_toml is check_toml's subset as one RE2 shape over the whole
+# column. Arrow compiles a pattern on every call, so the shape is kept
+# small: a comma is first put before every ']' and '}', after which each
+# array or inline table is a run of "value," items and its value pattern
+# appears once (a list with an optional last comma needs it twice).
+# What a regular language cannot say — keys distinct per scope, and no
+# ``true``/``false`` key, which check_toml's rewrite turns into a scalar
+# — is a numpy pass over the original bytes.
+_RE2_W = r"[ \t]*"
+_RE2_KEY = r"[A-Za-z_][A-Za-z0-9_\-]*"
+# what follows a value in the shape (spaces, ',', a newline, the end) is
+# a token boundary, so these are whole lexer tokens, as check_toml's
+# lookarounds require
+_RE2_SCALAR = r'(?:"[^"\\\n\x00]*"|-?[0-9]+\.[0-9]+|-?[0-9]{1,18}|true|false)'
+_MASK_LEVELS = 2  # values nested deeper are left to check_toml
+_BOOL_KEYS = [literal_hash("true"), literal_hash("false")]
+
+
+@functools.cache
+def _toml_shape(levels: int) -> str:
+    """The subset's shape, for text with a ',' put before every ']' and
+    '}': ``[a, b]`` reads ``[a, b,]``, ``[a,]`` reads ``[a,,]`` and
+    ``[]`` reads ``[,]``."""
+    w = _RE2_W
+    v = _RE2_SCALAR
+    for _ in range(levels):
+        v = (
+            rf"(?:{_RE2_SCALAR}|\[{w}(?:{v}{w},{w})*,?\]"
+            rf"|\{{(?:{w}{_RE2_KEY}{w}={w}{v}{w},{w})*(?:{w},)?\}})"
+        )
+    return rf"\A(?:{w}(?:{_RE2_KEY}{w}={w}{v}{w})?(?:\n|\z))*\z"
+
+
+def accept_mask_toml(texts: pa.StringArray, config: TomlConfig | None = None) -> np.ndarray:
+    """Which spans of ``texts`` ``check_toml`` accepts, decided for the
+    whole column at once; a False says nothing (the span runs
+    ``check_toml``).
+
+    A span is accepted if it fits ``max_size``, matches ``check_toml``'s
+    subset with values nested at most ``min(2, max_depth)`` deep, and its
+    keys are distinct within each scope (the top level, or one inline
+    table) and none is ``true`` or ``false``."""
+    cfg = config or _DEFAULT_CONFIG
+    levels = _MASK_LEVELS if cfg.max_depth <= 0 else min(_MASK_LEVELS, cfg.max_depth)
+    closed = pc.replace_substring(pc.replace_substring(texts, "]", ",]"), "}", ",}")
+    ok = full_match(closed, _toml_shape(levels)) & size_ok(texts, cfg.max_size)
+    idx = np.flatnonzero(ok)
+    if len(idx):
+        ok[idx[_bad_keys(texts.take(pa.array(idx)))]] = False
+    return ok
+
+
+def _bad_keys(texts: pa.StringArray) -> np.ndarray:
+    """Per span of ``texts`` (each matching the shape): a key repeats in
+    one scope, or is ``true``/``false``. The shape makes every string an
+    escape-free ``"…"``, so quote parity tells the structural bytes from
+    those in strings; each span has an even number of quotes and balanced
+    braces, so the running counts carry across spans."""
+    offs, buf = byte_view(texts)
+    b = buf[:-1]
+    # " = { } , \n
+    pos = np.flatnonzero((b == 34) | (b == 61) | (b == 123) | (b == 125) | (b == 44) | (b == 10))
+    ch = buf[pos]
+    quote = ch == 34
+    keep = ~quote & (np.cumsum(quote) & 1 == 0)
+    pos, ch = pos[keep], ch[keep]
+    opens = ch == 123
+    depth = np.cumsum(opens.astype(np.int64) - (ch == 125))
+    eq = np.flatnonzero(ch == 61)
+    span = span_of(offs, pos[eq])
+    # a key sits, between blanks, after the last '{', ',' or newline
+    # before its '=', or at its span's start
+    delim = np.maximum.accumulate(np.where(opens | (ch == 44) | (ch == 10), pos, -1))[eq]
+    first = skip_blanks(buf, np.maximum(delim + 1, offs[span]), 1)
+    keys = range_hashes(buf, first, skip_blanks(buf, pos[eq] - 1, -1))
+    # scope: the span's top level, or the position of the inline table's
+    # '{' (depth <= 2), offset past the span ids
+    scope = span.copy()
+    for d in (1, 2):
+        at = depth[eq] == d
+        if at.any():
+            opened = np.maximum.accumulate(np.where(opens & (depth == d), pos, -1))[eq]
+            scope[at] = len(texts) + opened[at]
+    bad = repeated(scope, keys) | (keys == _BOOL_KEYS[0]) | (keys == _BOOL_KEYS[1])
+    out = np.zeros(len(texts), bool)
+    out[span[bad]] = True
+    return out

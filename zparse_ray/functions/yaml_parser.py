@@ -36,6 +36,8 @@ indent stack and no DOM, space-indented ``key: scalar`` / ``key:`` /
 ``- scalar`` lines (root at indent 0, bare keys, plain or escape-free
 double-quoted scalars) that keep the parser's block rules; any other
 text runs ``parse_yaml``, so errors are always the parser's.
+``accept_mask_yaml`` decides the same subset (at most two levels) for a
+whole Arrow column at once, with RE2 and numpy.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+import pyarrow as pa
+
+from .columnar import byte_view, full_match, range_hashes, repeated, skip_blanks, span_of
 from .errors import (
     DUPLICATE_KEY,
     INVALID_ESCAPE,
@@ -546,3 +552,92 @@ def check_yaml(text: str, config: YamlConfig | None = None) -> None:
     if len(lines) == text.count("\n") + 1 and _blocks_ok(lines, cfg.max_depth):
         return
     parse_yaml(text, cfg)
+
+
+# -- column accept mask ---------------------------------------------------------
+# accept_mask_yaml is check_yaml's line subset as one RE2 shape over the
+# whole column, then _blocks_ok's rules at most two levels deep in numpy
+# over the line starts. RE2's \s is ASCII-only, so Python's whitespace
+# (what _PLAIN_CH's \s excludes) is spelled out.
+_RE2_SPACE = (
+    r"\t\n\x0b\x0c\r\x1c-\x1f \x{85}\x{a0}\x{1680}\x{2000}-\x{200a}"
+    r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}"
+)
+_RE2_PLAIN_CH = rf"""[^{_RE2_SPACE}"'#:\[\]{{}}\\]"""
+_RE2_VALUE = (
+    rf"""(?:"[^"\\\n\r\t#']*"|-?[^{_RE2_SPACE}"'#:\[\]{{}}\\\-]{_RE2_PLAIN_CH}*"""
+    rf"""(?: +{_RE2_PLAIN_CH}+)*)"""
+)
+_RE2_LINE = rf" *(?:[A-Za-z_][A-Za-z0-9_\-]*:(?: +{_RE2_VALUE})?|- +{_RE2_VALUE})? *"
+_YAML_SHAPE = rf"\A(?:{_RE2_LINE}(?:\n|\z))*\z"
+_MASK_LEVELS = 2  # blocks nested deeper are left to check_yaml
+
+
+def accept_mask_yaml(texts: pa.StringArray, config: YamlConfig | None = None) -> np.ndarray:
+    """Which spans of ``texts`` ``check_yaml`` accepts, decided for the
+    whole column at once; a False says nothing (the span runs
+    ``check_yaml``).
+
+    A span is accepted if every line is in ``check_yaml``'s subset and
+    its blocks keep ``_blocks_ok``'s rules within ``min(2, max_depth)``
+    levels: the root at indent 0, a deeper line only under a bare
+    ``key:`` at the root, one indent and one line kind (keys or ``-``
+    items) per level, and keys distinct per mapping."""
+    cfg = config or _DEFAULT_CONFIG
+    levels = _MASK_LEVELS if cfg.max_depth <= 0 else min(_MASK_LEVELS, cfg.max_depth)
+    ok = full_match(texts, _YAML_SHAPE)
+    idx = np.flatnonzero(ok)
+    if len(idx):
+        ok[idx[_bad_blocks(texts.take(pa.array(idx)), levels)]] = False
+    return ok
+
+
+def _bad_blocks(texts: pa.StringArray, levels: int) -> np.ndarray:
+    """Per span of ``texts`` (each matching the shape): its blocks break
+    a rule of ``_blocks_ok`` or nest past ``levels``."""
+    offs, buf = byte_view(texts)
+    n = len(texts)
+    b = buf[:-1]
+    nl = np.flatnonzero(b == 10)
+    # line starts; a blank last line is dropped where the next span
+    # starts at the same byte
+    start = np.union1d(offs[:-1], nl + 1)
+    start = start[start < offs[-1]]
+    span = span_of(offs, start)
+    end = np.minimum(np.append(nl, offs[-1])[np.searchsorted(nl, start)], offs[span + 1])
+    # the shape allows no tab before a line's content or after its end
+    first = skip_blanks(buf, start, 1, end)
+    full = first < end  # blank lines hold spaces only
+    start, end, first, span = start[full], end[full], first[full], span[full]
+    indent = first - start
+    item = buf[first] == 45  # '-'
+    # a bare ``key:`` ends in its ':' (a value never ends in one)
+    bare = ~item & (buf[skip_blanks(buf, end - 1, -1, first)] == 58)
+    m = len(start)
+    lead = np.ones(m, bool)  # a span's first non-blank line
+    lead[1:] = span[1:] != span[:-1]
+    child = indent > 0
+    bad = lead & child
+    if levels < 2:
+        bad |= child
+    root_at = np.maximum.accumulate(np.where(child, -1, np.arange(m)))
+    prev = np.arange(m) - 1
+    # a child line follows a bare root key (and opens its level) or a
+    # line of the same level: same indent, same kind
+    under_root = child & ~lead & ~child[prev]
+    bad[under_root] |= ~bare[prev[under_root]]
+    in_level = child & ~lead & child[prev]
+    bad[in_level] |= (indent[in_level] != indent[prev[in_level]]) | (item[in_level] != item[prev[in_level]])
+    # a root line is of its span's root kind
+    later_root = ~child & ~lead
+    bad[later_root] |= item[later_root] != item[root_at[prev[later_root]]]
+    # keys distinct per mapping: the root's, or a child level's (named by
+    # its bare root key's line)
+    keyed = np.flatnonzero(~item)
+    colons = np.flatnonzero(b == 58)
+    key_end = colons[np.searchsorted(colons, first[keyed])] - 1
+    scope = np.where(child[keyed], n + root_at[keyed], span[keyed])
+    bad[keyed[repeated(scope, range_hashes(buf, first[keyed], key_end))]] = True
+    out = np.zeros(n, bool)
+    out[span[bad]] = True
+    return out

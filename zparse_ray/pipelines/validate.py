@@ -183,7 +183,13 @@ def run_validation(
     else as a hash shuffle in plain Ray tasks; both give the same rows,
     in one or more ``violations/dups-*.parquet`` files sorted within
     each file only. ``max_broadcast_dups`` has no effect and is kept
-    only so existing callers still work."""
+    only so existing callers still work.
+
+    ``timings`` holds each phase's wall seconds, the driver's own CPU
+    seconds in phase 1, and ``phase1_read_s``, ``phase1_walk_s`` and
+    ``phase1_sink_s``: the seconds the phase-1 tasks spent reading their
+    files, in the grammar walk and writing sink files, summed over the
+    tasks."""
     import ray
 
     import time as _time
@@ -199,20 +205,29 @@ def run_validation(
         raise FileNotFoundError(f"no input partitions under {spans_dir}/spans")
     pid_of = {f: int(_PART_RE.search(f).group(1)) for f in files}
     expected = {}
+    fingerprint = {}  # what a manifest entry must match to be kept
     for f in files:
         try:
+            st = os.stat(f)
             expected[pid_of[f]] = pq.ParquetFile(f).metadata.num_rows
         except (OSError, pa.ArrowException):
-            pass  # unreadable: its phase-1 task fails and the run raises
+            continue  # unreadable: its phase-1 task fails and the run raises
+        fingerprint[pid_of[f]] = {"size": st.st_size, "mtime_ns": st.st_mtime_ns, "rows": expected[pid_of[f]]}
 
     timings["plan"] = round(_time.time() - _t, 3)
     _t = _time.time()
     cpu0 = _time.thread_time()  # the driver's own CPU in phase 1
     manifest = Manifest(os.path.join(out_dir, "manifest.json"))
     present = set(pid_of.values())
-    # an entry holds only while its input file exists, and none holds
-    # without resume; every partition not committed loses its sink files
-    manifest.drop(manifest.committed - present if resume else manifest.committed)
+    # an entry holds only while its input file exists with the
+    # fingerprint it was committed with (an entry without one, from an
+    # older engine, is re-validated), and none holds without resume;
+    # every partition not committed loses its sink files
+    stale = {
+        pid for pid in manifest.committed
+        if pid not in fingerprint or manifest.info(pid).get("input") != fingerprint[pid]
+    }
+    manifest.drop(stale if resume else manifest.committed)
     committed = manifest.committed
     clean_stale_outputs(out_dir, committed)
     todo = [f for f in files if pid_of[f] not in committed]
@@ -249,6 +264,7 @@ def run_validation(
         queue = iter(todo)
         in_flight: dict = {}
         failed: dict[str, Exception] = {}  # uncommitted; raised when all tasks end
+        split = collections.Counter()  # the tasks' read / walk / sink seconds
         while True:
             for f in itertools.islice(queue, max_in_flight - len(in_flight)):
                 in_flight[task.remote(f, **kw)] = f
@@ -262,15 +278,19 @@ def run_validation(
             except ray.exceptions.RayError as e:
                 failed[f] = e
             else:
+                for k in ("read_s", "walk_s", "sink_s"):
+                    split[k] += info.pop(k, 0.0)
                 if info["n_docs"] == expected.get(pid):
                     if info["n_docs"]:  # an empty file has no verdict (as in the oracle)
-                        manifest.commit(pid, info)
+                        manifest.commit(pid, {**info, "input": fingerprint[pid]})
                     continue
                 failed[f] = RuntimeError(f"{info['n_docs']} docs, footer: {expected.get(pid)}")
             # a failed partition leaves no sink files behind
             clean_stale_outputs(out_dir, present - {pid})
         timings["phase1"] = round(_time.time() - _t, 3)
         timings["phase1_driver_cpu_s"] = round(_time.thread_time() - cpu0, 3)
+        for k in ("read_s", "walk_s", "sink_s"):
+            timings[f"phase1_{k}"] = round(split[k], 3)
         _t = _time.time()
         if failed:
             raise RuntimeError(

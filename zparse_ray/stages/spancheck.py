@@ -14,17 +14,23 @@ Per batch (zero-copy Arrow):
    asset set (RefIntegrity), unknown kinds — all numpy/pyarrow kernels;
 2. the grammar walk (reference semantics: JSON/JSONC/CSV/TOML/YAML/XML
    parsers from functions/) runs ONLY on spans whose kind is a grammar
-   kind and which survived the prechecks, grouped by kind so one parser
-   stays hot. Where a cheaper check can decide "valid" it goes first:
-   JSON's C scanner inside ``parse_json``, and, when ``round_trip`` is
-   off, the recognizer-only ``check_json``/``check_jsonc`` (orjson),
+   kind and which survived the prechecks. When ``round_trip`` is off,
+   the CSV, TOML and YAML spans first meet their kind's column accept
+   mask (``accept_mask_csv``/``_toml``/``_yaml``: one RE2 shape match
+   over the whole kind column in Arrow, plus numpy over its byte buffer
+   for distinct keys per scope and YAML's indent levels), and only the
+   spans a mask did not accept become Python strings and are walked.
+   The walk goes grouped by kind so one parser stays hot, and where a
+   cheaper check can decide "valid" it goes first: JSON's C scanner
+   inside ``parse_json``, and, when ``round_trip`` is off, the
+   recognizer-only ``check_json``/``check_jsonc`` (orjson),
    ``check_csv`` (``csv.reader``), ``check_xml`` (expat),
-   ``check_toml`` (regex rewrite of flat
-   ``key = value`` lines with single-line arrays and inline tables) and
-   ``check_yaml`` (regex over block lines of plain or escape-free
-   double-quoted scalars, plus a small indent stack). A fast path only
-   ever accepts; a reject or subset miss runs the exact parser, so
-   check_ids and line/col are always the reference's;
+   ``check_toml`` (regex rewrite of flat ``key = value`` lines with
+   single-line arrays and inline tables) and ``check_yaml`` (regex over
+   block lines of plain or escape-free double-quoted scalars, plus a
+   small indent stack). A mask or fast path only ever accepts; a reject
+   or subset miss runs the exact parser, so check_ids and line/col are
+   always the reference's;
 3. optional round-trip check (D2): parse -> serialize -> reparse ->
    deep-compare (the reference's property-test invariant,
    tests/property_tests.rs:121-156, applied per span);
@@ -54,6 +60,7 @@ import functools
 import json as _json
 import os
 import re
+import time
 import uuid
 
 import numpy as np
@@ -70,13 +77,13 @@ from ..functions.convert import (
     serialize_yaml,
     xml_to_value,
 )
-from ..functions.csv_parser import check_csv, parse_csv
+from ..functions.csv_parser import accept_mask_csv, check_csv, parse_csv
 from ..functions.errors import ParseError
 from ..functions.json_parser import check_json, check_jsonc, parse_json, parse_jsonc
 from ..functions.sketches import HyperLogLog, TDigest, hash64
-from ..functions.toml_parser import check_toml, parse_toml
+from ..functions.toml_parser import accept_mask_toml, check_toml, parse_toml
 from ..functions.xml_parser import check_xml, parse_xml
-from ..functions.yaml_parser import check_yaml, parse_yaml
+from ..functions.yaml_parser import accept_mask_yaml, check_yaml, parse_yaml
 from ..schema import GRAMMAR_KINDS, MEDIA_KINDS, SPAN_KINDS, VIOLATIONS_SCHEMA
 from ..value import values_equal
 
@@ -106,6 +113,14 @@ _CHECKERS = {
     "toml": check_toml,
     "yaml": check_yaml,
     "xml": check_xml,
+}
+
+# round_trip off, before the walk: one call per kind column says "valid"
+# for most spans at once (RE2 + numpy), and only the rest are walked
+_ACCEPT_MASKS = {
+    "csv": accept_mask_csv,
+    "toml": accept_mask_toml,
+    "yaml": accept_mask_yaml,
 }
 
 _SERIALIZERS = {
@@ -300,6 +315,10 @@ class SpanValidator:
         self.max_span_bytes = max_span_bytes
         self.quarantine = quarantine
         self.parser_configs = parser_configs
+        # seconds spent in the grammar walk (masks included) and the sink
+        # writes, over every call
+        self.walk_s = 0.0
+        self.sink_s = 0.0
         if out_dir:
             os.makedirs(os.path.join(out_dir, "violations"), exist_ok=True)
             os.makedirs(os.path.join(out_dir, "docmeta"), exist_ok=True)
@@ -388,6 +407,9 @@ class SpanValidator:
         is_grammar = _is_in(kind_arr, _GRAMMAR_KINDS)
         skip = bad_kind | too_big
         gram_idx = np.flatnonzero(is_grammar & ~skip)
+        t_walk = time.perf_counter()
+        if len(gram_idx) and not self.round_trip:
+            gram_idx = _unmasked(kind_arr, text_arr, gram_idx, self.parser_configs or {})
         if len(gram_idx):
             # materialize ONLY the grammar spans as Python strings — text/
             # media spans (~40%) never enter the walk, so skipping their
@@ -400,6 +422,7 @@ class SpanValidator:
                 kind_np, texts_np, gram_idx, self.round_trip, self.parser_configs
             ):
                 violations.append((int(i), int(row_of[i]), check_id, detail, int(line), int(col)))
+        self.walk_s += time.perf_counter() - t_walk
 
         # -- assemble outputs ---------------------------------------------
         doc_np = doc_ids.to_numpy(zero_copy_only=False)
@@ -468,6 +491,7 @@ class SpanValidator:
 
         # resumable sink: write this batch's violations + docmeta per pid
         if self.out_dir:
+            t_sink = time.perf_counter()
             tag = tag or uuid.uuid4().hex[:12]
             for pid in np.unique(pids):
                 pid = int(pid)
@@ -502,6 +526,7 @@ class SpanValidator:
                                 self.out_dir, "quarantine", f"part-{pid:05d}-{tag}.parquet"
                             ),
                         )
+            self.sink_s += time.perf_counter() - t_sink
 
         return pa.Table.from_pylist(partial_rows, schema=PARTIALS_SCHEMA)
 
@@ -510,6 +535,17 @@ class SpanValidator:
         tmp = path + ".tmp"
         pq.write_table(table, tmp, compression="zstd")
         os.replace(tmp, path)
+
+
+def _unmasked(kind_arr: pa.Array, text_arr: pa.Array, idx: np.ndarray, cfgs: dict) -> np.ndarray:
+    """The spans of ``idx`` that no kind's accept mask accepted."""
+    kinds = kind_arr.take(pa.array(idx))
+    keep = np.ones(len(idx), bool)
+    for kind, mask in _ACCEPT_MASKS.items():
+        sel = np.flatnonzero(pc.equal(kinds, kind).to_numpy(zero_copy_only=False))
+        if len(sel):
+            keep[sel[mask(text_arr.take(pa.array(idx[sel])), cfgs.get(kind))]] = False
+    return idx[keep]
 
 
 def _is_in(arr: pa.Array, value_set: pa.Array) -> np.ndarray:
@@ -570,7 +606,7 @@ def validate_task(
         max_span_bytes=max_span_bytes,
         quarantine=quarantine,
         parser_configs=parser_configs,
-    )
+    )[0]
 
 
 def read_parquet_file(path: str, columns: list[str] | None = None) -> pa.Table:
@@ -602,35 +638,49 @@ def validate_file(path: str, *, batch_size: int | None = None, **kw) -> dict:
     to ``partials/part-<pid>.parquet`` (atomic tmp+rename) after the
     violations and docmeta. Returns the fields of the merged row that a
     verdict needs, which the driver commits to the manifest; an empty
-    file writes no partials and returns ``{"n_docs": 0}``."""
+    file writes no partials and returns ``{"n_docs": 0}``. Either way the
+    result also carries ``read_s``, ``walk_s`` and ``sink_s``: the
+    seconds the task spent reading its file, in the grammar walk and
+    writing its sink files (the driver sums them into ``timings``)."""
+    t_read = time.perf_counter()
     pid = int(_PART_RE.search(path).group(1))
     table = read_parquet_file(path)
+    t_read = time.perf_counter() - t_read
     ids = pc.unique(table["partition_id"]).to_pylist()
     if table.num_rows and ids != [pid]:
         raise ValueError(f"{path}: rows of partition_id {ids}, but the file name says {pid}")
-    rows = _validate_slices(table, batch_size, tag_offsets=True, **kw).to_pylist()
+    rows, v = _validate_slices(table, batch_size, tag_offsets=True, **kw)
+    rows = rows.to_pylist()
     if not rows:
-        return {"n_docs": 0}
+        return {"n_docs": 0, "read_s": t_read, "walk_s": v.walk_s, "sink_s": v.sink_s}
     part = functools.reduce(_merge_partials, rows)
     out_dir = kw.get("out_dir")
     if out_dir:
+        t_sink = time.perf_counter()
         pdir = os.path.join(out_dir, "partials")
         os.makedirs(pdir, exist_ok=True)
         ppath = os.path.join(pdir, f"part-{pid:05d}.parquet")
         pq.write_table(pa.Table.from_pylist([part], schema=PARTIALS_SCHEMA), ppath + ".tmp")
         os.replace(ppath + ".tmp", ppath)
-    return {k: part[k] for k in ("n_docs", "n_spans", "n_violations", "checks_failed")}
+        v.sink_s += time.perf_counter() - t_sink
+    return {
+        **{k: part[k] for k in ("n_docs", "n_spans", "n_violations", "checks_failed")},
+        "read_s": t_read,
+        "walk_s": v.walk_s,
+        "sink_s": v.sink_s,
+    }
 
 
 def _validate_slices(
     batch: pa.Table, batch_size: int | None, *, tag_offsets: bool, **validator_kw
-) -> pa.Table:
+) -> tuple[pa.Table, SpanValidator]:
     _tune_gc_once()
     v = SpanValidator(assets_sorted=True, **validator_kw)
     step = batch_size or max(batch.num_rows, 1)
-    return pa.concat_tables(
+    rows = pa.concat_tables(
         [
             v(batch.slice(i, step), f"{i:012d}" if tag_offsets else None)
             for i in range(0, max(batch.num_rows, 1), step)
         ]
     )
+    return rows, v

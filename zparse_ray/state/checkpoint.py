@@ -7,10 +7,14 @@ parquet footers). A killed run restarts at the last committed
 partition: committed partitions' outputs (violations/docmeta/partials
 parquet) are kept and their input files are not re-read; every other
 partition's sink files are deleted before re-processing. An entry holds
-only while its input file exists: at plan time the entries of removed
-files are dropped, with their sink files, and a run without resume
-drops every entry. A kept entry is trusted as is: resume assumes a
-partition file is never rewritten in place.
+only for the input it was computed from: each commit records the
+file's fingerprint (size, ``mtime_ns`` and footer row count), and at
+plan time an entry is dropped, with its sink files, when its file is
+gone or its fingerprint differs — a rewritten file is validated again.
+An entry without a fingerprint (committed by an older engine) is
+dropped too, since nothing says which input it describes. A run
+without resume drops every entry. A rewrite that keeps the size, the
+row count and ``mtime_ns`` is not seen.
 
 Each entry holds the partition's verdict fields (doc, span and
 violation counts, failed checks), so the verdicts are built from the
