@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zparse_ray.functions import csv_parser, json_parser, toml_parser, xml_parser, yaml_parser
+from zparse_ray.functions.columnar import byte_view
 from zparse_ray.functions.csv_parser import CsvConfig, accept_mask_csv, check_csv, parse_csv
 from zparse_ray.functions.errors import ParseError
 from zparse_ray.functions.json_parser import (
@@ -1052,3 +1053,15 @@ def test_masks_read_spans_apart_in_one_column():
         want = mask(pa.array(texts), None)
         assert mask(pa.array(["x = 1\nx = 2"] + texts).slice(1), None).tolist() == want.tolist()
         assert mask(pa.array(texts, pa.large_string()), None).tolist() == want.tolist()
+
+
+def test_kernels_read_a_sliced_column_from_its_first_span():
+    # byte_view leaves out the bytes before a sliced array's first span,
+    # so a quote or a line break there changes nothing after it
+    col = pa.array(['"', "k = 1\nk = 2", "a = {b = 1}"]).slice(1)
+    offs, buf = byte_view(col)
+    assert offs.tolist() == [0, 11, 22]
+    assert bytes(buf) == b"k = 1\nk = 2a = {b = 1}\x00"
+    assert toml_parser._bad_keys(col).tolist() == [True, False]
+    col = pa.array(['"\n  x', "b: 1\nb: 2", "a:\n  b: 1"]).slice(1)
+    assert yaml_parser._bad_blocks(col, 2).tolist() == [True, False]

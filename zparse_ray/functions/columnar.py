@@ -19,6 +19,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# values (TOML) or blocks (YAML) nested deeper than this are left to the
+# checkers
+MASK_LEVELS = 2
 # range hashes: sum of (byte + 1) * P**(j - start) mod 2**64
 _P = np.uint64(0x100000001B3)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -42,13 +45,29 @@ def size_ok(texts: pa.Array, max_size: int) -> np.ndarray | bool:
 
 def byte_view(texts: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     """``(offsets, buf)``: the n+1 offsets of the spans in ``buf``, the
-    column's data buffer as uint8, followed by one zero byte so that
-    reads one past a span's end stay in bounds."""
+    spans' bytes as uint8, followed by one zero byte so that reads one
+    past a span's end stay in bounds. ``offsets[0]`` is 0 also for a
+    sliced array: the bytes before its first span are not in ``buf``."""
     _, obuf, dbuf = texts.buffers()
     width = np.int64 if pa.types.is_large_string(texts.type) else np.int32
     offs = np.frombuffer(obuf, width)[texts.offset : texts.offset + len(texts) + 1].astype(np.int64)
-    data = np.frombuffer(dbuf, np.uint8)[: offs[-1]] if dbuf is not None else np.zeros(0, np.uint8)
-    return offs, np.concatenate([data, np.zeros(1, np.uint8)])
+    data = np.frombuffer(dbuf, np.uint8)[offs[0] : offs[-1]] if dbuf is not None else np.zeros(0, np.uint8)
+    return offs - offs[0], np.concatenate([data, np.zeros(1, np.uint8)])
+
+
+def mask_levels(max_depth: int) -> int:
+    """The nesting a mask decides under a config's ``max_depth`` (no
+    limit at <= 0)."""
+    return MASK_LEVELS if max_depth <= 0 else min(MASK_LEVELS, max_depth)
+
+
+def refine(ok: np.ndarray, texts: pa.Array, bad) -> np.ndarray:
+    """``ok`` with the spans cleared that ``bad`` rejects; ``bad`` gets
+    the column of the spans ``ok`` holds and returns a bool per span."""
+    idx = np.flatnonzero(ok)
+    if len(idx):
+        ok[idx[bad(texts.take(pa.array(idx)))]] = False
+    return ok
 
 
 def span_of(offs: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -57,7 +57,9 @@ from .columnar import (
     byte_view,
     full_match,
     literal_hash,
+    mask_levels,
     range_hashes,
+    refine,
     repeated,
     size_ok,
     skip_blanks,
@@ -797,7 +799,6 @@ _RE2_KEY = r"[A-Za-z_][A-Za-z0-9_\-]*"
 # a token boundary, so these are whole lexer tokens, as check_toml's
 # lookarounds require
 _RE2_SCALAR = r'(?:"[^"\\\n\x00]*"|-?[0-9]+\.[0-9]+|-?[0-9]{1,18}|true|false)'
-_MASK_LEVELS = 2  # values nested deeper are left to check_toml
 _BOOL_KEYS = [literal_hash("true"), literal_hash("false")]
 
 
@@ -826,13 +827,9 @@ def accept_mask_toml(texts: pa.StringArray, config: TomlConfig | None = None) ->
     keys are distinct within each scope (the top level, or one inline
     table) and none is ``true`` or ``false``."""
     cfg = config or _DEFAULT_CONFIG
-    levels = _MASK_LEVELS if cfg.max_depth <= 0 else min(_MASK_LEVELS, cfg.max_depth)
     closed = pc.replace_substring(pc.replace_substring(texts, "]", ",]"), "}", ",}")
-    ok = full_match(closed, _toml_shape(levels)) & size_ok(texts, cfg.max_size)
-    idx = np.flatnonzero(ok)
-    if len(idx):
-        ok[idx[_bad_keys(texts.take(pa.array(idx)))]] = False
-    return ok
+    ok = full_match(closed, _toml_shape(mask_levels(cfg.max_depth))) & size_ok(texts, cfg.max_size)
+    return refine(ok, texts, _bad_keys)
 
 
 def _bad_keys(texts: pa.StringArray) -> np.ndarray:

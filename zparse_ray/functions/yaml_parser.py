@@ -48,7 +48,16 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 
-from .columnar import byte_view, full_match, range_hashes, repeated, skip_blanks, span_of
+from .columnar import (
+    byte_view,
+    full_match,
+    mask_levels,
+    range_hashes,
+    refine,
+    repeated,
+    skip_blanks,
+    span_of,
+)
 from .errors import (
     DUPLICATE_KEY,
     INVALID_ESCAPE,
@@ -570,7 +579,6 @@ _RE2_VALUE = (
 )
 _RE2_LINE = rf" *(?:[A-Za-z_][A-Za-z0-9_\-]*:(?: +{_RE2_VALUE})?|- +{_RE2_VALUE})? *"
 _YAML_SHAPE = rf"\A(?:{_RE2_LINE}(?:\n|\z))*\z"
-_MASK_LEVELS = 2  # blocks nested deeper are left to check_yaml
 
 
 def accept_mask_yaml(texts: pa.StringArray, config: YamlConfig | None = None) -> np.ndarray:
@@ -584,12 +592,8 @@ def accept_mask_yaml(texts: pa.StringArray, config: YamlConfig | None = None) ->
     ``key:`` at the root, one indent and one line kind (keys or ``-``
     items) per level, and keys distinct per mapping."""
     cfg = config or _DEFAULT_CONFIG
-    levels = _MASK_LEVELS if cfg.max_depth <= 0 else min(_MASK_LEVELS, cfg.max_depth)
-    ok = full_match(texts, _YAML_SHAPE)
-    idx = np.flatnonzero(ok)
-    if len(idx):
-        ok[idx[_bad_blocks(texts.take(pa.array(idx)), levels)]] = False
-    return ok
+    levels = mask_levels(cfg.max_depth)
+    return refine(full_match(texts, _YAML_SHAPE), texts, lambda col: _bad_blocks(col, levels))
 
 
 def _bad_blocks(texts: pa.StringArray, levels: int) -> np.ndarray:

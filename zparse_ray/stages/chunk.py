@@ -24,18 +24,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.columnar import byte_view
+
 _WS_BYTES = np.frombuffer(b"\t\n\f\r ", np.uint8)
 
 
 def _flat_utf8(column: pa.ChunkedArray):
-    """(byte_buf, offsets) views of the column as one contiguous
-    large_string array (int64 offsets; nulls filled with '')."""
-    col = pc.fill_null(column, "").combine_chunks()
-    col = pc.cast(col, pa.large_string())
-    bufs = col.buffers()
-    off = np.frombuffer(bufs[1], np.int64)[col.offset : col.offset + len(col) + 1]
-    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
-    return data, off
+    """(byte_buf, offsets) of the column as one contiguous byte buffer
+    (int64 offsets from 0; nulls filled with '')."""
+    off, buf = byte_view(pc.fill_null(column, "").combine_chunks())
+    return buf[:-1], off
 
 
 def _token_edges(buf: np.ndarray, off: np.ndarray):
